@@ -9,6 +9,12 @@ drives the product, the adjoint, the matrix symbol over the circle and the
 norm estimation.  Every element carries one common period l for all its
 coefficients, which is also the size of its matrix symbol.
 
+Norms and spectra are evaluated straight from the coefficients: U^n M_f has
+the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
+sampled symbol is assembled from the complex values f_n(i) without forming
+the exact symbol.  The exact MatrixSymbol serves only ``bd symbol`` and the
+*-homomorphism tests.
+
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window; only the diagonal case is exact.  Internally the estimates are carried
 as exact rationals so the two assembly rules for higher norms (binomial sum
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclo, root_of_unity
+from .cyclotomic import Cyclo, _is_int, root_of_unity
 from .odometer_fn import LocConstFn
 from .supernatural import SupernaturalNumber
 
@@ -171,28 +177,17 @@ class BDElement:
         Other conventions for the shift symbol differ from J(z) by a fixed
         unitary conjugation, which changes no norm, spectrum or class computed
         from the symbol; this package fixes J(z) throughout.
+
+        The entry of J^n M_f at row (i+n) mod l, column i is f(i) z^floor((i+n)/l).
+        Labels congruent mod l share an entry but never a power of z, since the
+        row and the power together determine i + n.
         """
         l = self.period
-        out = MatrixSymbol.zero(l)
-        if not self.coeffs:
-            return out
-        j_pows = {0: MatrixSymbol.identity(l)}
-        j = MatrixSymbol.shift(l)
-        j_inv = MatrixSymbol.shift_inverse(l)
-        for n, f in sorted(self.coeffs.items()):
-            if n not in j_pows:
-                step, base = (1, j) if n > 0 else (-1, j_inv)
-                k = 0
-                acc = j_pows[0]
-                while k != n:
-                    k += step
-                    if k in j_pows:
-                        acc = j_pows[k]
-                    else:
-                        acc = acc * base
-                        j_pows[k] = acc
-            out = out + j_pows[n] * MatrixSymbol.diagonal([f.at(r) for r in range(l)])
-        return out
+        rows = [[{} for _ in range(l)] for _ in range(l)]
+        for n, f in self.coeffs.items():
+            for i, v in enumerate(f.values):
+                rows[(i + n) % l][i][(i + n) // l] = v
+        return MatrixSymbol([[LaurentPoly(e) for e in row] for row in rows])
 
     def to_json(self) -> dict:
         return {"S": self.S.to_json(),
@@ -203,9 +198,14 @@ class BDElement:
     def from_json(cls, obj) -> "BDElement":
         if not isinstance(obj, dict) or set(obj) != {"S", "period", "coeffs"}:
             raise ValueError('element must be {"S": ..., "period": l, "coeffs": {...}}')
+        period = obj["period"]
+        if not _is_int(period) or period < 1:
+            raise ValueError("period must be a positive integer")
+        if not isinstance(obj["coeffs"], dict):
+            raise ValueError("coeffs must be an object mapping labels to functions")
         S = SupernaturalNumber.from_json(obj["S"])
         coeffs = {int(n): LocConstFn.from_json(f) for n, f in obj["coeffs"].items()}
-        return cls(S, coeffs, period=obj["period"])
+        return cls(S, coeffs, period=period)
 
     def __repr__(self):
         return f"BDElement(S={self.S}, period={self.period}, support={self.support})"
@@ -233,10 +233,6 @@ class LaurentPoly:
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: Cyclo.one()})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -285,10 +281,6 @@ class LaurentPoly:
     def powers(self) -> tuple:
         return tuple(sorted(self.terms))
 
-    def eval_complex(self, z: complex) -> complex:
-        return sum((c.to_complex() * z ** p for p, c in self.terms.items()),
-                   complex(0))
-
     def to_json(self) -> list:
         return [[p, self.terms[p].to_json()] for p in sorted(self.terms)]
 
@@ -296,7 +288,12 @@ class LaurentPoly:
     def from_json(cls, obj) -> "LaurentPoly":
         if not isinstance(obj, list):
             raise ValueError("Laurent polynomial must be a list of [power, coeff] pairs")
-        return cls({int(p): Cyclo.from_json(c) for p, c in obj})
+        for it in obj:
+            if not isinstance(it, list) or len(it) != 2:
+                raise ValueError("Laurent polynomial terms must be [power, coeff] pairs")
+            if not _is_int(it[0]):
+                raise ValueError("Laurent polynomial powers must be integers")
+        return cls({p: Cyclo.from_json(c) for p, c in obj})
 
     def __repr__(self):
         if not self.terms:
@@ -325,51 +322,8 @@ class MatrixSymbol:
     def __setattr__(self, *args):
         raise AttributeError("MatrixSymbol values are immutable")
 
-    @classmethod
-    def zero(cls, l: int) -> "MatrixSymbol":
-        return cls([[LaurentPoly.zero()] * l for _ in range(l)])
-
-    @classmethod
-    def identity(cls, l: int) -> "MatrixSymbol":
-        return cls([[LaurentPoly.one() if i == j else LaurentPoly.zero()
-                     for j in range(l)] for i in range(l)])
-
-    @classmethod
-    def diagonal(cls, values) -> "MatrixSymbol":
-        values = list(values)
-        l = len(values)
-        return cls([[LaurentPoly({0: values[i]}) if i == j else LaurentPoly.zero()
-                     for j in range(l)] for i in range(l)])
-
-    @classmethod
-    def shift(cls, l: int) -> "MatrixSymbol":
-        """Symbol of U: ones on the subdiagonal, z in the (0, l-1) corner."""
-        rows = [[LaurentPoly.zero()] * l for _ in range(l)]
-        if l == 1:
-            rows[0][0] = LaurentPoly({1: Cyclo.one()})
-        else:
-            for i in range(l - 1):
-                rows[i + 1][i] = LaurentPoly.one()
-            rows[0][l - 1] = LaurentPoly({1: Cyclo.one()})
-        return cls(rows)
-
-    @classmethod
-    def shift_inverse(cls, l: int) -> "MatrixSymbol":
-        rows = [[LaurentPoly.zero()] * l for _ in range(l)]
-        if l == 1:
-            rows[0][0] = LaurentPoly({-1: Cyclo.one()})
-        else:
-            for i in range(l - 1):
-                rows[i][i + 1] = LaurentPoly.one()
-            rows[l - 1][0] = LaurentPoly({-1: Cyclo.one()})
-        return cls(rows)
-
     def __add__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         return MatrixSymbol([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        return MatrixSymbol([[a - b for a, b in zip(r1, r2)]
                              for r1, r2 in zip(self.entries, other.entries)])
 
     def __mul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
@@ -405,30 +359,6 @@ class MatrixSymbol:
 
     __hash__ = None
 
-    def max_power(self) -> int:
-        """Largest |power| of z appearing in any entry."""
-        m = 0
-        for row in self.entries:
-            for e in row:
-                for p in e.terms:
-                    m = max(m, abs(p))
-        return m
-
-    def eval_complex(self, z: complex) -> np.ndarray:
-        return np.array([[e.eval_complex(z) for e in row] for row in self.entries],
-                        dtype=complex)
-
-    def eval_grid(self, grid: int) -> np.ndarray:
-        """Values at the `grid` equispaced points of the unit circle, stacked
-        into an array of shape (grid, size, size)."""
-        z = np.exp(2j * np.pi * np.arange(grid) / grid)
-        out = np.zeros((grid, self.size, self.size), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                for p, c in e.terms.items():
-                    out[:, i, j] += c.to_complex() * z ** p
-        return out
-
     def to_json(self) -> dict:
         return {"size": self.size,
                 "entries": [[e.to_json() for e in row] for row in self.entries]}
@@ -437,7 +367,12 @@ class MatrixSymbol:
     def from_json(cls, obj) -> "MatrixSymbol":
         if not isinstance(obj, dict) or set(obj) != {"size", "entries"}:
             raise ValueError('symbol must be {"size": l, "entries": [[...]]}')
-        return cls([[LaurentPoly.from_json(e) for e in row] for row in obj["entries"]])
+        entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ValueError("symbol entries must be a list of rows")
+        if not _is_int(obj["size"]) or obj["size"] != len(entries):
+            raise ValueError("symbol size does not match its entries")
+        return cls([[LaurentPoly.from_json(e) for e in row] for row in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -469,29 +404,75 @@ class NormReport:
                 "window": [self.window[0], self.window[1]]}
 
 
-def _base_norm(a: BDElement, grid: int):
-    """Exact-to-float base norm data: (value as Fraction, kind, effective grid).
+def _max_power(a: BDElement) -> int:
+    """Largest |floor((i+n)/l)| over the values f_n(i) that are not zero: the
+    largest |power| of z in the symbol of a, and of every delta^j(a) with a
+    label other than 0 (label 0 only reaches power 0)."""
+    l = a.period
+    return max((abs((i + n) // l) for n, f in a.coeffs.items()
+                for i, v in enumerate(f.values) if not v.is_zero()), default=0)
 
-    Diagonal elements short-circuit to the exact sup of |f_0|; otherwise the
-    largest singular value of the evaluated symbol is maximized over at least
-    max(grid, 2 * max power + 1) circle points.
+
+# Grid points per block: one (block, l, l) buffer of about a mebibyte is
+# assembled and decomposed at a time.  A whole (grid, l, l) array is 9 MiB at
+# l = 48 and raises peak memory by as much again once the heap fragments.
+_BLOCK_BYTES = 1 << 20
+
+
+def _symbol_blocks(a: BDElement, grid: int, levels: int):
+    """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, j < levels, at
+    the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
+
+    J^n M_f has the entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i,
+    so label n contributes f_n(i) z_k^floor((i+n)/l) at the rows (i+n) mod l;
+    labels congruent mod l land on the same entries and are summed.  A block's
+    per-label samples are computed once for all levels.  Yields (j, block)
+    with one reused buffer, so each block must be used before the next step.
     """
-    support = a.support
-    if not support:
-        return Fraction(0), "exact", 0
-    if support == (0,):
-        return Fraction(a.coeffs[0].sup_norm()), "exact", 0
-    sym = a.matrix_symbol()
-    eff = max(grid, 2 * sym.max_power() + 1)
-    vals = sym.eval_grid(eff)
-    sv = np.linalg.svd(vals, compute_uv=False)
-    return Fraction(float(sv.max())), "grid-estimate", eff
+    l = a.period
+    cols = np.arange(l)
+    values = [(n, np.array([v.to_complex() for v in f.values], dtype=complex))
+              for n, f in sorted(a.coeffs.items())]
+    step = max(1, _BLOCK_BYTES // (16 * l * l))
+    buf = np.zeros((min(step, grid), l, l), dtype=complex)
+    for k0 in range(0, grid, step):
+        z = np.exp(2j * np.pi * np.arange(k0, min(k0 + step, grid)) / grid)
+        classes: dict = {}
+        for n, vals in values:
+            classes.setdefault(n % l, []).append((n, vals * z[:, None] ** ((cols + n) // l)))
+        block = buf[:len(z)]
+        for j in range(levels):
+            for r, parts in classes.items():
+                block[:, (cols + r) % l, cols] = sum(n ** j * smp for n, smp in parts)
+            yield j, block
+
+
+def _base_norms(a: BDElement, m: int, grid: int) -> list:
+    """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
+
+    A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
+    the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
+    is the largest singular value of its symbol maximized over
+    max(grid, 2 * max power + 1) circle points; the levels only reweight the
+    same sampled coefficients, which are evaluated once.
+    """
+    if all(n == 0 for n in a.coeffs):
+        top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
+        return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
+    eff = max(grid, 2 * _max_power(a) + 1)
+    top = [0.0] * (m + 1)
+    for j, block in _symbol_blocks(a, eff, m + 1):
+        top[j] = max(top[j], float(np.linalg.svd(block, compute_uv=False).max()))
+    return [(Fraction(t), "grid-estimate", eff) for t in top]
 
 
 def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
                   method: str = "binomial") -> NormReport:
     """Estimate the M-norm built from the label derivation.
 
+    The base norms |delta^j(a)|, j = 0..m, are sampled straight from the
+    coefficients of a: delta^j only reweights label n by n^j, so the sampled
+    coefficients are shared by all levels and no delta^j(a) is built.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit.
@@ -503,10 +484,7 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     if method not in ("binomial", "recursive"):
         raise ValueError(f"unknown method {method!r}")
 
-    deltas = [a]
-    for _ in range(m):
-        deltas.append(deltas[-1].delta_label())
-    parts = [_base_norm(d, grid) for d in deltas]
+    parts = _base_norms(a, m, grid)
     base = [p[0] for p in parts]
 
     if method == "binomial":
@@ -534,12 +512,15 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
 
 
 def spectrum_sample(a: BDElement, grid: int = 256) -> list:
-    """Eigenvalues of the evaluated symbol over the sampling grid.
+    """Eigenvalues of the symbol, sampled straight from the coefficients at the
+    `grid` equispaced points of the circle, grid point by grid point.
 
     For normal elements this samples the spectrum; the output is a plain
     sample, not a certified enclosure.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    vals = a.matrix_symbol().eval_grid(grid)
-    return [complex(w) for w in np.linalg.eigvals(vals).reshape(-1)]
+    points = []
+    for _, block in _symbol_blocks(a, grid, 1):
+        points.extend(complex(w) for w in np.linalg.eigvals(block).reshape(-1))
+    return points

@@ -117,6 +117,11 @@ def _poly_ext_gcd(a: list, b: list):
 
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """True for a plain integer; bool is an int subclass and is refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -366,13 +371,19 @@ class Cyclo:
     def from_json(cls, obj) -> "Cyclo":
         if not isinstance(obj, dict) or set(obj) != {"order", "terms"}:
             raise ValueError('cyclotomic value must be {"order": N, "terms": [...]}')
-        if not isinstance(obj["order"], int):
+        if not _is_int(obj["order"]):
             raise ValueError("order must be an integer")
+        if not isinstance(obj["terms"], list):
+            raise ValueError("terms must be a list of [exponent, coefficient] pairs")
         terms = {}
         for it in obj["terms"]:
             if not isinstance(it, list) or len(it) != 2:
                 raise ValueError("terms must be [exponent, coefficient] pairs")
-            terms[int(it[0])] = Fraction(it[1])
+            if not _is_int(it[0]):
+                raise ValueError("exponents must be integers")
+            if not (_is_int(it[1]) or isinstance(it[1], str)):
+                raise ValueError("coefficients must be integers or exact rational strings")
+            terms[it[0]] = Fraction(it[1])
         return cls(obj["order"], terms)
 
     def __repr__(self):

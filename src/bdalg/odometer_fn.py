@@ -172,6 +172,8 @@ class LocConstFn:
     def from_json(cls, obj) -> "LocConstFn":
         if not isinstance(obj, dict) or set(obj) != {"period", "values"}:
             raise ValueError('function must be {"period": l, "values": [...]}')
+        if not isinstance(obj["values"], list):
+            raise ValueError("function values must be a list")
         vals = [Cyclo.from_json(v) for v in obj["values"]]
         if len(vals) != obj["period"]:
             raise ValueError("period does not match the number of values")

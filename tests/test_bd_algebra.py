@@ -3,11 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bdalg import (BDElement, Cyclo, INF, LocConstFn, MatrixSymbol,
+from bdalg import (BDElement, Cyclo, INF, LaurentPoly, LocConstFn, MatrixSymbol,
                    SupernaturalNumber, character, operator_norm,
                    root_of_unity, spectrum_sample)
+from bdalg import bd_algebra
 from bdalg.verify import rand_bd
 
 from oracles import apply_to_basis, columns_equal, compose_on_basis, entry
@@ -218,6 +220,79 @@ def test_norm_sandwich_and_fourier_contractivity():
             assert a.coeffs[n].sup_norm() <= rep.value + 1e-9
 
 
+def _evaluate(sym: MatrixSymbol, grid: int) -> np.ndarray:
+    """The exact symbol's entries through Cyclo.to_complex, at `grid` points."""
+    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    out = np.zeros((grid, sym.size, sym.size), dtype=complex)
+    for i, row in enumerate(sym.entries):
+        for j, e in enumerate(row):
+            for p, c in e.terms.items():
+                out[:, i, j] += c.to_complex() * z ** p
+    return out
+
+
+def _reference_norm(a: BDElement, m: int, grid: int):
+    """(value, kind, grid) of the M-norm from the exact symbols of delta^j(a)."""
+    parts, d = [], a
+    for j in range(m + 1):
+        if j:
+            d = d.delta_label()
+        if not d.coeffs:
+            parts.append((0.0, "exact", 0))
+        elif d.support == (0,):
+            parts.append((d.coeffs[0].sup_norm(), "exact", 0))
+        else:
+            sym = d.matrix_symbol()
+            top = max(abs(p) for row in sym.entries for e in row for p in e.terms)
+            eff = max(grid, 2 * top + 1)
+            sv = np.linalg.svd(_evaluate(sym, eff), compute_uv=False)
+            parts.append((float(sv.max()), "grid-estimate", eff))
+    value = sum(math.comb(m, j) * parts[j][0] for j in range(m + 1))
+    kind = "exact" if all(p[1] == "exact" for p in parts) else "grid-estimate"
+    return value, kind, max(p[2] for p in parts)
+
+
+NUMERIC_CASES = [
+    # labels congruent mod l, one of them 0
+    BDElement(S, {1: CHI4, 5: LocConstFn([1, 2, 3, 4]), -3: F, 0: G, 4: CHI2}),
+    # |n| >= l and negative labels
+    BDElement(S, {-5: F, 7: CHI2, 2: G}),
+    BDElement(S, {-4: character(3, 1), 3: LocConstFn([1, Fraction(-1, 2), 2])}),
+    # coefficients with some zero values
+    BDElement(S, {1: LocConstFn([0, 1, 0, 2]), -6: LocConstFn([root_of_unity(1, 3), 0, 0, 0]),
+                  0: LocConstFn([0, 0, 3, 0])}),
+    # ... and only a zero value reaches power 21, so the grid is 2 * 20 + 1
+    BDElement(S, {41: LocConstFn([1, 0]), -1: CHI2}),
+    # the effective grid exceeds the requested one: 2 * 40 + 1 > 16
+    BDElement.shift(S, 40) + BDElement.shift(S, -3),
+    # exact short-circuits
+    BDElement.zero(S),
+    BDElement(S, {}, period=4),
+    BDElement.mult_op(S, LocConstFn([1, -2, root_of_unity(1, 6)])),
+]
+
+
+@pytest.mark.parametrize("a", NUMERIC_CASES)
+@pytest.mark.parametrize("block_bytes", [None, 1000])
+def test_numeric_path_matches_exact_symbol(a, block_bytes, monkeypatch):
+    if block_bytes:  # a few grid points per block, the last block partial
+        monkeypatch.setattr(bd_algebra, "_BLOCK_BYTES", block_bytes)
+    for grid in (16, 64):
+        for m in range(5):
+            value, kind, eff = _reference_norm(a, m, grid)
+            for method in ("binomial", "recursive"):
+                rep = operator_norm(a, m=m, grid=grid, method=method)
+                assert (rep.kind, rep.grid) == (kind, eff)
+                assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-300)
+        # eigenvalues of a non-normal symbol move like eps^(1/k) under rounding,
+        # so the spectra are compared through their characteristic polynomials
+        got = np.array(spectrum_sample(a, grid=grid)).reshape(grid, a.period)
+        want = np.linalg.eigvals(_evaluate(a.matrix_symbol(), grid))
+        scale = (1 + sum(f.sup_norm() for f in a.coeffs.values())) ** a.period
+        for g, w in zip(got, want):
+            assert np.allclose(np.poly(g), np.poly(w), rtol=0, atol=1e-12 * scale)
+
+
 def test_norm_rejects_small_grid():
     with pytest.raises(ValueError):
         operator_norm(U, grid=8)
@@ -264,3 +339,19 @@ def test_serialization_roundtrip():
         BDElement.from_json({"S": [], "coeffs": {}})
     sym = a.matrix_symbol()
     assert MatrixSymbol.from_json(json.loads(json.dumps(sym.to_json()))) == sym
+
+
+def test_from_json_checks_containers():
+    good = BDElement(S, {1: CHI4}).to_json()
+    for key, bad in (("coeffs", []), ("coeffs", None), ("period", "4"), ("period", True),
+                     ("period", 0)):
+        with pytest.raises(ValueError):
+            BDElement.from_json(dict(good, **{key: bad}))
+    for bad in ({"1": []}, [[1]], [[1.5, {"order": 1, "terms": []}]],
+                [[True, {"order": 1, "terms": []}]]):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json(bad)
+    for bad in ({"size": 1, "entries": {}}, {"size": 1, "entries": [{}]},
+                {"size": 2, "entries": [[[]]]}):
+        with pytest.raises(ValueError):
+            MatrixSymbol.from_json(bad)

@@ -212,6 +212,20 @@ def test_invalid_input_exit_1(capsys):
     assert code == 1 and "nonzero tau" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("bd", "mul", "--a", '{"S":[[2,"inf"]],"period":2,"coeffs":[]}', "--b", BDE),
+    ("bd", "symbol", "--a", '{"S":[[2,"inf"]],"period":"2","coeffs":{}}'),
+    ("bd", "norm", "--a", '{"S":[[2,"inf"]],"period":2,"coeffs":{"1":{"period":1,"values":5}}}'),
+    ("cyc", "add", "--a", '{"order":4,"terms":[[1,0.1]]}', "--b", CYC),
+    ("cyc", "conj", "--a", '{"order":true,"terms":[]}'),
+    ("cyc", "iszero", "--a", '{"order":4,"terms":[[1.7,"1"]]}'),
+])
+def test_malformed_document_exit_1(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_missing_argument_exit_1(capsys):
     code, doc = run_json(capsys, "sn", "gcd", "--n", "10")
     assert code == 1

@@ -135,6 +135,19 @@ def test_serialization():
         Cyclo.from_json({"order": "x", "terms": []})
 
 
+def test_from_json_rejects_inexact_scalars():
+    assert Cyclo.from_json({"order": 4, "terms": [[1, 2], [3, "1/3"]]}) == \
+        Cyclo(4, {1: 2, 3: Fraction(1, 3)})
+    for bad in ({"order": True, "terms": []},
+                {"order": 4, "terms": [[1, 0.1]]},
+                {"order": 4, "terms": [[1, True]]},
+                {"order": 4, "terms": [[1.7, "1"]]},
+                {"order": 4, "terms": [[True, "1"]]},
+                {"order": 4, "terms": {"1": "1"}}):
+        with pytest.raises(ValueError):
+            Cyclo.from_json(bad)
+
+
 def test_doctests():
     import doctest
 
