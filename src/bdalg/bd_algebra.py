@@ -28,13 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclo, _is_int, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
 from .odometer_fn import LocConstFn
 from .supernatural import SupernaturalNumber
-
-
-def _coerce_scalar(c) -> Cyclo:
-    return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
 class BDElement:
@@ -127,7 +123,7 @@ class BDElement:
         return BDElement(self.S, out)
 
     def scale(self, c) -> "BDElement":
-        c = _coerce_scalar(c)
+        c = _as_cyclo(c)
         return BDElement(self.S, {n: f.scale(c) for n, f in self.coeffs.items()})
 
     __rmul__ = scale
@@ -222,7 +218,7 @@ class LaurentPoly:
     def __init__(self, terms=None):
         clean = {}
         for p, c in (terms or {}).items():
-            c = _coerce_scalar(c)
+            c = _as_cyclo(c)
             if c.terms:
                 clean[int(p)] = c
         object.__setattr__(self, "terms", clean)
@@ -248,7 +244,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            c = _coerce_scalar(other)
+            c = _as_cyclo(other)
             return LaurentPoly({p: v * c for p, v in self.terms.items()})
         out: dict = {}
         for p1, c1 in self.terms.items():

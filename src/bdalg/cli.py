@@ -452,12 +452,11 @@ def _der_recover(d):
 
 
 @_op(der, "pickchar")
-@_params("n", "s", "max_h")
+@_params("n", "s")
 def _der_pickchar(d):
     """Character with the certified gap |1 - chi(q(n))| >= 3/2."""
     n, s = _require(d, "n", "s")
-    pick = pick_character(_as_int(n, "n"), SupernaturalNumber.from_json(s),
-                          max_h=_as_int(d.get("max_h", 10000), "max_h"))
+    pick = pick_character(_as_int(n, "n"), SupernaturalNumber.from_json(s))
     return {"l": pick.l, "j": pick.j, "bound": pick.bound}
 
 

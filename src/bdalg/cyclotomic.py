@@ -69,52 +69,6 @@ def _poly_rem(poly: list, mod: tuple) -> list:
     return rem
 
 
-def _poly_divmod(a: list, b: list):
-    """Quotient and remainder over the rationals; b need not be monic."""
-    a = [Fraction(c) for c in a]
-    while a and not a[-1]:
-        a.pop()
-    bb = [Fraction(c) for c in b]
-    while bb and not bb[-1]:
-        bb.pop()
-    if not bb:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(bb) + 1)
-    while len(a) >= len(bb):
-        c = a[-1] / bb[-1]
-        k = len(a) - len(bb)
-        q[k] = c
-        for j, bc in enumerate(bb):
-            a[k + j] -= c * bc
-        while a and not a[-1]:
-            a.pop()
-    return q, a
-
-
-def _poly_ext_gcd(a: list, b: list):
-    """Extended gcd over Q[X]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def _sub(u, v, q):
-        out = list(u) + [Fraction(0)] * max(0, len(v) + len(q) - 1 - len(u))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, vc in enumerate(v):
-                    out[i + j] -= qc * vc
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, s1, q)
-        t0, t1 = t1, _sub(t0, t1, q)
-    return r0, s0, t0
-
-
 # ---------------------------------------------------------------------------
 
 def _is_int(x) -> bool:
@@ -130,6 +84,11 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def _as_cyclo(c) -> "Cyclo":
+    """A Cyclo as is; an exact rational as a Cyclo of order 1."""
+    return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
 class Cyclo:
@@ -195,8 +154,7 @@ class Cyclo:
         return Cyclo._raw(order, {e * k: c for e, c in self.terms.items()})
 
     def _pair(self, other):
-        if not isinstance(other, Cyclo):
-            other = Cyclo.from_rational(other)  # raises TypeError if not rational
+        other = _as_cyclo(other)  # raises TypeError if not rational
         n = math.lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
 
@@ -303,22 +261,24 @@ class Cyclo:
                           {(-e) % self.order: c for e, c in self.terms.items()})
 
     def inverse(self) -> "Cyclo":
+        """1/x: the product of the conjugates zeta^e -> zeta^(a*e), 1 < a < order
+        coprime to the order, divided by the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        n = self.order
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return Cyclo(self.order, {(-e) % self.order: 1 / c})
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        poly = list(self.reduced())
-        g, s, _ = _poly_ext_gcd(poly, mod)
-        assert len(g) == 1, "cyclotomic polynomial is irreducible"
-        inv = [c / g[0] for c in s]
-        return Cyclo(self.order, dict(enumerate(inv)))
+            return Cyclo(n, {(-e) % n: 1 / c})
+        x = self.canonical().terms
+        others = Cyclo._raw(n, {0: Fraction(1)})
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                conj = Cyclo._raw(n, {a * e % n: c for e, c in x.items()})
+                others = (others * conj).canonical()
+        return (others * (1 / (self * others).as_rational())).canonical()
 
     def __truediv__(self, other):
-        if not isinstance(other, Cyclo):
-            return self * (Fraction(1) / _as_fraction(other))
-        return self * other.inverse()
+        return self * _as_cyclo(other).inverse()
 
     # -- numerics --------------------------------------------------------------
 

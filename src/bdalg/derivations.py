@@ -7,27 +7,25 @@ A continuous derivation is determined by finite classification data
 with G mean zero (constants commute with everything, so the mean-zero
 normalization pins the inner part down uniquely).  This module applies such
 data, selects Fourier components, solves the cocycle equation G o beta - G = F
-exactly on character coefficients, recovers the covariant F_n from the action
-on a single character, picks the character with the 3/2 spectral gap, and
-builds the truncated non-smooth commutator counterexamples.
+exactly by a prefix sum, recovers the covariant F_n from the action on a single
+character, picks the character with the 3/2 spectral gap, and builds the
+truncated non-smooth commutator counterexamples.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bd_algebra import BDElement, LaurentPoly
-from .cyclotomic import Cyclo, root_of_unity
-from .odometer_fn import LocConstFn, character, synthesize
+from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
+from .odometer_fn import LocConstFn, character
 from .supernatural import SupernaturalNumber
 
 
 def _commutator(x: BDElement, b: BDElement) -> BDElement:
     return x * b - b * x
-
-
-def _coerce_scalar(c) -> Cyclo:
-    return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class DerivationData:
     covariant: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", _coerce_scalar(self.constant))
+        object.__setattr__(self, "constant", _as_cyclo(self.constant))
         if not self.invariant_fn.haar_integral().is_zero():
             raise ValueError("the inner diagonal part must have mean zero")
         clean = {}
@@ -88,6 +86,9 @@ class DerivationData:
         if not isinstance(obj, dict) or set(obj) != {"C", "G", "covariant"}:
             raise ValueError('derivation data must be {"C": ..., "G": ..., "covariant": {...}}')
         c = obj["C"]
+        if not (isinstance(c, (dict, str)) or _is_int(c)) or not isinstance(obj["covariant"], dict):
+            raise ValueError("C must be a rational string, an integer or a cyclotomic "
+                             "value, and covariant an object")
         constant = Cyclo.from_json(c) if isinstance(c, dict) else Cyclo.from_rational(Fraction(c))
         return cls(constant,
                    LocConstFn.from_json(obj["G"]),
@@ -98,16 +99,20 @@ class DerivationData:
 def solve_cocycle(ft: LocConstFn) -> LocConstFn:
     """Solve G o beta - G = ft with G mean zero; ft must have mean zero.
 
-    On character coefficients the equation diagonalizes: the coefficient c_k of
-    the k-th character maps to c_k / (zeta_l^k - 1) for k != 0, and a nonzero
-    mean is the (obstructed) k = 0 mode, which must be split off first.
+    G(j) = ft(0) + ... + ft(j-1), minus its mean.  A nonzero mean of ft is the
+    obstruction (G would not be periodic), which must be split off first.
+    The values are given canonically in Q(zeta_L), L the lcm of the period
+    and the orders of ft's values.
     """
-    coeffs = ft.char_coefficients()
-    if 0 in coeffs:
+    if not ft.haar_integral().is_zero():
         raise ValueError("nonzero mean: split off the constant part first")
     l = ft.period
-    solved = {k: c / (root_of_unity(k, l) - 1) for k, c in coeffs.items()}
-    return synthesize(solved, l).canonical()
+    if ft.is_zero():
+        return LocConstFn.zero(l)
+    order = math.lcm(l, *(v.order for v in ft.values))
+    partial = list(itertools.accumulate(ft.values[:-1], initial=Cyclo.zero()))
+    mean = sum(partial, Cyclo.zero()) * Fraction(1, l)
+    return LocConstFn([(g - mean).lift(order) for g in partial]).canonical()
 
 
 def decompose_invariant(f: LocConstFn):
@@ -125,7 +130,9 @@ def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocCon
     """Recover F from delta(M_chi) where delta = [U^n M_F, .] and chi = character(l, k).
 
     Requires chi(q(n)) != 1, i.e. l does not divide n*k; then
-    F = (1 - zeta_l^{nk})^{-1} * (0-th coefficient of U^{-n} delta(M_chi) M_chi^{-1}).
+    F = (1 - zeta_l^{nk})^{-1} * (0-th coefficient of U^{-n} delta(M_chi) M_chi^{-1}),
+    and 1/(1 - zeta) = -(1/l) * sum_{j<l} j * zeta^j for every zeta != 1 with
+    zeta^l = 1 (sum_{j<l} j*x^j = x(1 - l*x^(l-1) + (l-1)*x^l)/(1 - x)^2).
     """
     if n == 0:
         raise ValueError("covariant index must be nonzero")
@@ -134,8 +141,8 @@ def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocCon
     S = delta_of_chi.S
     chi_inv = BDElement.mult_op(S, character(l, k).conj())
     extracted = (BDElement.shift(S, -n) * delta_of_chi * chi_inv).fourier_coefficient(0)
-    factor = Cyclo.one() - root_of_unity(n * k, l)
-    return extracted.scale(factor.inverse()).canonical()
+    inverse = Cyclo(l, {j * n * k: Fraction(-j, l) for j in range(1, l)})
+    return extracted.scale(inverse).canonical()
 
 
 class CharacterPick(tuple):
@@ -151,42 +158,36 @@ class CharacterPick(tuple):
     bound = property(lambda self: self[2])
 
 
-def pick_character(n: int, S: SupernaturalNumber, max_h: int = 10000) -> CharacterPick:
+def pick_character(n: int, S: SupernaturalNumber) -> CharacterPick:
     """Choose a character chi = character(l, j) with |1 - chi(q(n))| >= sqrt(3) > 3/2.
 
     Following the constructive recipe: with g = gcd(|n|, S) and n' = |n|/g
     coprime to S, take l = g*h for the smallest even h with g*h | S (then
     chi(q(n)) = -1 exactly and the gap is 2), falling back to the smallest odd
-    h >= 3 (gap 2*cos(pi/2h) >= sqrt(3)).  j = p*gamma mod l where p inverts n'
-    mod h and gamma is h/2, resp. (h+1)/2.
+    h >= 3 (gap 2*cos(pi/2h) >= sqrt(3)).  Every prime of such an h fits as
+    well, so h is the smallest prime p of S with g*p | S: 2 when it fits.
+    j = p*gamma mod l where p inverts n' mod h and gamma is h/2, resp. (h+1)/2.
+
+    >>> S = SupernaturalNumber.of({2: "inf", 3: "inf"})
+    >>> pick_character(2, S)
+    (4, 1, 2.0)
+    >>> pick = pick_character(8, SupernaturalNumber.of({2: 3, 3: "inf"}))
+    >>> pick.l, pick.j, round(pick.bound, 6)
+    (24, 2, 1.732051)
     """
     if n == 0:
         raise ValueError("n must be nonzero")
     g = S.gcd(abs(n))
     n_prime = abs(n) // g
-
-    h = None
-    for cand in range(2, max_h + 1, 2):
-        if S.divisible_by(g * cand):
-            h = cand
-            break
+    h = next((p for p, _ in S.factors if S.divisible_by(g * p)), None)
     if h is None:
-        for cand in range(3, max_h + 1, 2):
-            if S.divisible_by(g * cand):
-                h = cand
-                break
-    if h is None:
-        raise ValueError(f"no admissible modulus h <= {max_h} for n={n}, S={S}")
+        raise ValueError(f"no admissible modulus h for n={n}, S={S}")
 
     l = g * h
     p = pow(n_prime, -1, h)  # n' is coprime to h since h | S and n' is coprime to S
-    gamma = h // 2 if h % 2 == 0 else (h + 1) // 2
+    gamma = (h + 1) // 2  # h/2 for h = 2
     j = (p * gamma) % l
-    if h % 2 == 0:
-        bound = 2.0
-    else:
-        import math
-        bound = 2.0 * math.cos(math.pi / (2 * h))
+    bound = 2.0 if h == 2 else 2.0 * math.cos(math.pi / (2 * h))
     return CharacterPick(l, j, bound)
 
 

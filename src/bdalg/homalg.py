@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclotomic import _is_int
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -35,7 +37,7 @@ class IntMatrix:
             raise ValueError("entry grid does not match the declared shape")
         for r in self.entries:
             for v in r:
-                if not isinstance(v, int):
+                if not _is_int(v):
                     raise ValueError(f"non-integer entry {v!r}")
 
     @classmethod
@@ -95,9 +97,11 @@ class IntMatrix:
         if not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}:
             raise ValueError('matrix must be {"rows": r, "cols": c, "entries": [...]}')
         r, c, flat = obj["rows"], obj["cols"], obj["entries"]
+        if not _is_int(r) or not _is_int(c):
+            raise ValueError("rows and cols must be integers")
         if not isinstance(flat, list) or len(flat) != r * c:
             raise ValueError("entries must be a row-major list of length rows*cols")
-        return cls.from_rows([flat[i * c:(i + 1) * c] for i in range(r)]) if r else cls(r, c, ())
+        return cls(r, c, tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r)))
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,11 @@ class FGAbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
+        if not _is_int(self.rank) or self.rank < 0:
+            raise ValueError("rank must be a nonnegative integer")
         prev = 1
         for d in self.torsion:
-            if not isinstance(d, int) or d < 2 or d % prev != 0:
+            if not _is_int(d) or d < 2 or d % prev != 0:
                 raise ValueError(f"torsion coefficients must form a divisor chain, got {self.torsion}")
             prev = d
 
@@ -123,6 +127,8 @@ class FGAbelianGroup:
     def from_json(cls, obj) -> "FGAbelianGroup":
         if not isinstance(obj, dict) or set(obj) != {"rank", "torsion"}:
             raise ValueError('group must be {"rank": r, "torsion": [...]}')
+        if not isinstance(obj["torsion"], list):
+            raise ValueError("torsion must be a list")
         return cls(obj["rank"], tuple(obj["torsion"]))
 
     def __str__(self):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bd_algebra import BDElement
+from .cyclotomic import _is_int
 from .odometer_fn import LocConstFn
 from .profinite import DivisorChain, ProfiniteInt
 from .supernatural import SupernaturalNumber
@@ -269,7 +270,7 @@ class PhiFn:
         if not isinstance(obj, dict) or set(obj) != {"chain", "top"}:
             raise ValueError('phi function must be {"chain": [...], "top": [...]}')
         chain = DivisorChain.from_json(obj["chain"])
-        if not isinstance(obj["top"], list) or not all(isinstance(v, int) for v in obj["top"]):
+        if not isinstance(obj["top"], list) or not all(_is_int(v) for v in obj["top"]):
             raise ValueError("top must be a list of integers")
         return cls(chain, obj["top"])
 

@@ -6,22 +6,17 @@ odometer element x is values[x mod l].  Characters, the Haar mean, pullback by
 powers of the odometer map and the exact character (discrete Fourier)
 decomposition all live here.
 
-The character transform is the plain O(l^2) cyclotomic DFT; exactness over
-speed, which is the right trade at the period sizes this package targets.
+The character transform is the plain O(l^2) cyclotomic DFT.  It serves only
+the explicit decomposition: the cocycle solver works on the values directly,
+by a prefix sum.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
 from .profinite import ProfiniteInt
-
-
-def _coerce(v) -> Cyclo:
-    if isinstance(v, Cyclo):
-        return v
-    return Cyclo.from_rational(v)
 
 
 class LocConstFn:
@@ -30,7 +25,7 @@ class LocConstFn:
     __slots__ = ("period", "values")
 
     def __init__(self, values):
-        vals = tuple(_coerce(v) for v in values)
+        vals = tuple(_as_cyclo(v) for v in values)
         if not vals:
             raise ValueError("a function needs at least one value")
         object.__setattr__(self, "period", len(vals))
@@ -41,7 +36,7 @@ class LocConstFn:
 
     @classmethod
     def constant(cls, c, period: int = 1) -> "LocConstFn":
-        return cls([_coerce(c)] * period)
+        return cls([_as_cyclo(c)] * period)
 
     @classmethod
     def zero(cls, period: int = 1) -> "LocConstFn":
@@ -140,7 +135,7 @@ class LocConstFn:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LocConstFn":
-        c = _coerce(c)
+        c = _as_cyclo(c)
         return LocConstFn([v * c for v in self.values])
 
     def conj(self) -> "LocConstFn":
@@ -175,7 +170,7 @@ class LocConstFn:
         if not isinstance(obj["values"], list):
             raise ValueError("function values must be a list")
         vals = [Cyclo.from_json(v) for v in obj["values"]]
-        if len(vals) != obj["period"]:
+        if not _is_int(obj["period"]) or len(vals) != obj["period"]:
             raise ValueError("period does not match the number of values")
         return cls(vals)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclotomic import _is_int
 from .supernatural import SupernaturalNumber
 
 
@@ -86,7 +87,7 @@ class DivisorChain:
 
     @classmethod
     def from_json(cls, obj, S: SupernaturalNumber = None) -> "DivisorChain":
-        if not isinstance(obj, list) or not all(isinstance(l, int) for l in obj):
+        if not isinstance(obj, list) or not all(_is_int(l) for l in obj):
             raise ValueError("chain must be a list of integers")
         return cls.of(obj, S)
 
@@ -154,6 +155,6 @@ class ProfiniteInt:
             raise ValueError('profinite integer must be {"chain": [...], "digits": [...]}')
         chain = DivisorChain.from_json(obj["chain"], S)
         digits = obj["digits"]
-        if not isinstance(digits, list) or not all(isinstance(a, int) for a in digits):
+        if not isinstance(digits, list) or not all(_is_int(a) for a in digits):
             raise ValueError("digits must be a list of integers")
         return cls(chain, tuple(digits))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cyclotomic import _is_int
+
 INF = math.inf
 
 
@@ -94,12 +96,6 @@ class SupernaturalNumber:
     def from_int(cls, n: int) -> "SupernaturalNumber":
         return cls.of(factorize(n))
 
-    def exponent(self, p: int):
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         merged: dict[int, object] = dict(self.factors)
         for p, e in other.factors:
@@ -110,18 +106,23 @@ class SupernaturalNumber:
         """Whether the positive integer l divides this supernatural number."""
         if l < 1:
             raise ValueError("divisor must be a positive integer")
-        return all(e <= self.exponent(p) for p, e in factorize(l).items())
+        return self.gcd(l) == l
 
     def gcd(self, n: int) -> int:
         """gcd of a positive integer with this number; always a finite integer.
 
-        The cofactor n // gcd is coprime to the supernatural number.
+        The cofactor n // gcd is coprime to the supernatural number.  Only the
+        primes of this number are divided out, so n is never factored.
         """
         if n < 1:
             raise ValueError("gcd argument must be a positive integer")
         g = 1
-        for p, e in factorize(n).items():
-            g *= p ** min(e, self.exponent(p))
+        for p, e in self.factors:
+            k = 0
+            while k < e and n % p == 0:
+                n //= p
+                g *= p
+                k += 1
         return g
 
     @property
@@ -179,6 +180,9 @@ class SupernaturalNumber:
                 isinstance(it, list) and len(it) == 2 for it in obj):
             raise ValueError("supernatural number must be a list of [prime, exponent] pairs")
         pairs = [tuple(it) for it in obj]
+        for p, e in pairs:
+            if not _is_int(p) or not (_is_int(e) or e == "inf"):
+                raise ValueError("primes must be integers and exponents integers or \"inf\"")
         for i in range(1, len(pairs)):
             if pairs[i][0] <= pairs[i - 1][0]:
                 raise ValueError("primes must be ascending")

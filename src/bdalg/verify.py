@@ -162,7 +162,7 @@ def _suite_cocycle(seed: int, scale: str) -> VerifyReport:
         ok = (g.pullback(1) - g == ft) and g.haar_integral().is_zero()
         col.check(ok, lambda: {"ft": ft.to_json()})
     return VerifyReport(
-        "cocycle", "G o beta - G = F with mean-zero F, solved on character coefficients",
+        "cocycle", "G o beta - G = F with mean-zero F, solved by a prefix sum",
         col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
 
 

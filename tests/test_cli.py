@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -219,6 +221,18 @@ def test_invalid_input_exit_1(capsys):
     ("cyc", "add", "--a", '{"order":4,"terms":[[1,0.1]]}', "--b", CYC),
     ("cyc", "conj", "--a", '{"order":true,"terms":[]}'),
     ("cyc", "iszero", "--a", '{"order":4,"terms":[[1.7,"1"]]}'),
+    ("sn", "mul", "--a", '[[2,true]]', "--b", SN),
+    ("sn", "gcd", "--n", "6", "--s", '[[2,1.5]]'),
+    ("zs", "embed", "--x", "7", "--chain", "[true,4]"),
+    ("zs", "residue", "--x", '{"chain":[2,4],"digits":[1,true]}', "--l", "2"),
+    ("k", "phival", "--phi", '{"chain":[2,4],"top":[1,-1,true,-2]}', "--l", "2", "--k", "0"),
+    ("hom", "snf", "--matrix", '{"rows":2,"cols":2,"entries":[2,0,0,true]}'),
+    ("hom", "ext", "--matrix", '{"rows":true,"cols":1,"entries":[5]}'),
+    ("hom", "snf", "--matrix", '{"rows":-1,"cols":-1,"entries":[5]}'),
+    ("der", "component", "--d", '{"C":0.1,"G":' + FN2 + ',"covariant":{}}', "--n", "0"),
+    ("der", "component", "--d", '{"C":true,"G":' + FN2 + ',"covariant":{}}', "--n", "0"),
+    ("der", "apply", "--d", '{"C":"1","G":' + FN2 + ',"covariant":[]}', "--b", BDE),
+    ("fn", "haar", "--f", '{"period":true,"values":[{"order":1,"terms":[[0,"1"]]}]}'),
 ])
 def test_malformed_document_exit_1(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -268,3 +282,23 @@ def test_pretty_format(capsys):
     assert code == 0
     assert out.startswith("{\n")
     assert json.loads(out) == {"gcd": 9}
+
+
+def test_pickchar_has_no_max_h(capsys):
+    code, doc = run_json(capsys, "der", "pickchar", "--n", "2", "--s", SN, "--max-h", "5")
+    assert code == 1
+    assert "max-h" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("verb,arg,want", [
+    ("divides", "--l", {"divides": False}),
+    ("gcd", "--n", {"gcd": 1}),
+])
+def test_sn_large_integer_is_fast(verb, arg, want):
+    # 10^18 + 3 is prime: trial division up to its square root would not finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdalg", "sn", verb, arg, "1000000000000000003",
+         "--s", '[[2,"inf"],[3,"inf"]]'],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == want

@@ -111,8 +111,11 @@ def test_random_nonzero_values_numeric_gap():
 def test_inverse():
     z3 = root_of_unity(1, 3)
     for v in (z3 - 1, z3 + 2, Cyclo.from_rational(Fraction(-3, 7)),
-              root_of_unity(5, 8), root_of_unity(1, 12) + root_of_unity(5, 12)):
+              root_of_unity(5, 8), root_of_unity(1, 12) + root_of_unity(5, 12),
+              Cyclo(2, {0: 1, 1: 3}), root_of_unity(1, 3) + root_of_unity(2, 3),
+              Cyclo(9, {e: Fraction(e * e - 7, e + 1) for e in range(9)})):
         assert v * v.inverse() == 1
+        assert v.inverse().order == v.order
     with pytest.raises(ZeroDivisionError):
         Cyclo.zero().inverse()
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -8,8 +9,8 @@ import pytest
 from bdalg import (BDElement, Cyclo, DerivationData, INF, LocConstFn,
                    SupernaturalNumber, character, decompose_invariant,
                    nonsmooth_commutator, pick_character, recover_covariant,
-                   root_of_unity, solve_cocycle)
-from bdalg.verify import rand_bd, rand_fn
+                   root_of_unity, solve_cocycle, synthesize)
+from bdalg.verify import _CHARPICK_POOL, rand_bd, rand_fn
 
 S = SupernaturalNumber.of({2: INF, 3: INF})
 U = BDElement.shift(S)
@@ -85,6 +86,24 @@ def test_solve_cocycle_examples():
     assert g.pullback(1) - g == chi4
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8, 12, 24, 72, "zero"])
+def test_solve_cocycle_matches_character_route(l):
+    # reference: divide each character coefficient c_k by zeta_l^k - 1 and resynthesize
+    rng = random.Random(31 if l == "zero" else l)
+    if l == "zero":
+        cases = [LocConstFn.zero(6), LocConstFn([Cyclo(4, {}), Cyclo(4, {0: 1, 2: 1})])]
+    else:
+        raws = [rand_fn(rng, l) for _ in range(1 if l == 72 else 12)]
+        cases = [f - LocConstFn.constant(f.haar_integral(), l) for f in raws]
+    for ft in cases:
+        period = ft.period
+        solved = {k: c / (root_of_unity(k, period) - 1)
+                  for k, c in ft.char_coefficients().items()}
+        want = synthesize(solved, period).canonical()
+        got = solve_cocycle(ft)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
 def test_solve_cocycle_mean_obstruction():
     with pytest.raises(ValueError):
         solve_cocycle(LocConstFn([1, 0]))
@@ -126,6 +145,57 @@ def test_recover_covariant_zero_and_error():
     assert recover_covariant(2, 4, 1, BDElement.zero(S)).is_zero()
     with pytest.raises(ValueError):
         recover_covariant(4, 4, 1, BDElement.zero(S))  # chi_4(q(4)) = 1
+
+
+def test_recover_covariant_matches_inverse_route():
+    # reference: invert 1 - zeta_l^{nk} with Cyclo.inverse
+    rng = random.Random(43)
+    for _ in range(60):
+        l = rng.choice([2, 3, 4, 6, 8, 9, 12, 24])
+        n = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
+        ks = [k for k in range(l) if (n * k) % l]
+        if not ks:
+            continue
+        k = rng.choice(ks)
+        delta = rand_bd(rng, S, (1, 2, 3, 4, 6), max_n=6)
+        chi_inv = BDElement.mult_op(S, character(l, k).conj())
+        extracted = (BDElement.shift(S, -n) * delta * chi_inv).fourier_coefficient(0)
+        factor = (Cyclo.one() - root_of_unity(n * k, l)).inverse()
+        want = extracted.scale(factor).canonical()
+        got = recover_covariant(n, l, k, delta)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_h(g, S, max_h=10007):
+    """The modulus search: smallest even h with g*h | S, else the smallest odd h >= 3."""
+    for start in (2, 3):
+        for h in range(start, max_h + 1, 2):
+            if S.divisible_by(g * h):
+                return h
+    return None
+
+
+@pytest.mark.parametrize("S", list(_CHARPICK_POOL) + [
+    SupernaturalNumber.of({10007: INF}),  # beyond the old default search limit
+    SupernaturalNumber.of({2: 1, 3: 1}),  # no admissible h once 6 | n
+    SupernaturalNumber.of({}),            # no admissible h at all
+], ids=str)
+def test_pick_character_matches_modulus_scan(S):
+    for n in range(-200, 201):
+        if n == 0:
+            continue
+        g = S.gcd(abs(n))
+        h = _scan_h(g, S)
+        if h is None:
+            with pytest.raises(ValueError):
+                pick_character(n, S)
+            continue
+        l = g * h
+        gamma = h // 2 if h % 2 == 0 else (h + 1) // 2
+        j = (pow(abs(n) // g, -1, h) * gamma) % l
+        bound = 2.0 if h % 2 == 0 else 2.0 * math.cos(math.pi / (2 * h))
+        assert tuple(pick_character(n, S)) == (l, j, bound)
 
 
 def test_pick_character_examples():

@@ -146,5 +146,11 @@ def test_serialization():
         IntMatrix.from_json({"rows": 2, "cols": 2, "entries": [1]})
     g = FGAbelianGroup(1, (2, 4))
     assert FGAbelianGroup.from_json(g.to_json()) == g
+    for bad in ({"rank": True, "torsion": []}, {"rank": 0, "torsion": [2, True]},
+                {"rank": 0, "torsion": [2.0]}, {"rank": 0, "torsion": 4}):
+        with pytest.raises(ValueError):
+            FGAbelianGroup.from_json(bad)
+    with pytest.raises(ValueError):
+        IntMatrix.from_json({"rows": 1, "cols": 1, "entries": [2.5]})
     with pytest.raises(ValueError):
         FGAbelianGroup(0, (4, 2))
