@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
 from .odometer_fn import LocConstFn
 from .supernatural import SupernaturalNumber
@@ -415,6 +413,24 @@ def _max_power(a: BDElement) -> int:
 _BLOCK_BYTES = 1 << 20
 
 
+def _numpy():
+    """numpy, imported on first use so that the exact paths never load it.
+
+    It is kept as the module attribute `np`, and the sampling code reads that
+    attribute, so a wrapper assigned to `bd_algebra.np` takes effect.
+    """
+    global np
+    if "np" not in globals():
+        import numpy as np
+    return np
+
+
+def __getattr__(name):
+    if name == "np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _symbol_blocks(a: BDElement, grid: int, levels: int):
     """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, j < levels, at
     the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
@@ -425,6 +441,7 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int):
     per-label samples are computed once for all levels.  Yields (j, block)
     with one reused buffer, so each block must be used before the next step.
     """
+    np = _numpy()
     l = a.period
     cols = np.arange(l)
     values = [(n, np.array([v.to_complex() for v in f.values], dtype=complex))
@@ -455,6 +472,7 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
         return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
+    np = _numpy()
     eff = max(grid, 2 * _max_power(a) + 1)
     top = [0.0] * (m + 1)
     for j, block in _symbol_blocks(a, eff, m + 1):
@@ -516,6 +534,7 @@ def spectrum_sample(a: BDElement, grid: int = 256) -> list:
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
+    np = _numpy()
     points = []
     for _, block in _symbol_blocks(a, grid, 1):
         points.extend(complex(w) for w in np.linalg.eigvals(block).reshape(-1))

@@ -5,6 +5,15 @@ zs (odometer truncations), cyc (cyclotomic values), fn (periodic functions),
 bd (crossed-product elements), der (derivations), k (K invariants),
 hom (Smith form and Ext), plus the `verify` suite runner.
 
+Every verb is one entry of the table `VERBS`: group -> verb -> (params,
+function, help).  A param is (name, reader) or (name, reader, default); the
+name is the option (`--chain-depth` for chain_depth) and the key in a `--json`
+document.  A reader is `_as_int`, `_as_fraction`, `_raw`, or a class whose
+`from_json` parses the value.  One dispatcher serves every entry: it gathers
+the options, reports missing required params, reads the values in declaration
+order, calls the function with them in that order, converts every value of
+the result that has `to_json()` (also inside dicts) and prints the document.
+
 Object-valued options take inline JSON; `--json FILE` (or `-` for stdin)
 supplies any missing options from a JSON document whose keys are the option
 names.  Unknown keys in that document are rejected.  Output is deterministic
@@ -77,13 +86,6 @@ def _gather(json_file, **inline) -> dict:
     return data
 
 
-def _require(data: dict, *names):
-    missing = [n for n in names if n not in data]
-    if missing:
-        raise ValueError(f"missing required argument(s): {', '.join(missing)}")
-    return [data[n] for n in names]
-
-
 def _as_int(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{name} must be an integer")
@@ -91,48 +93,192 @@ def _as_int(v, name: str) -> int:
 
 
 def _as_fraction(v, name: str) -> Fraction:
+    """An int, a "p/q" or decimal string, or a float read by its decimal repr."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"{name} must be an exact rational")
     try:
         return Fraction(v) if not isinstance(v, float) else Fraction(str(v))
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"{name} must be an exact rational: {e}")
 
 
-def _cyclo_out(c: Cyclo) -> dict:
-    return c.to_json()
+def _raw(v, name: str):
+    """The JSON value as given; the library validates it."""
+    return v
 
 
-def _complex_pairs(points) -> list:
-    return [[w.real, w.imag] for w in points]
+def _read(reader, v, name: str):
+    return reader.from_json(v) if isinstance(reader, type) else reader(v, name)
 
 
-_JSON_OPT = click.option("--json", "json_file", default=None,
-                         help="JSON file (or - for stdin) supplying missing options.")
+def _plain(v):
+    """The JSON form of a result: to_json() wherever a value has one."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    return v
+
+
+def _re_im(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def _mean_and_coboundary(c: Cyclo, g: LocConstFn) -> dict:
+    rat = c.as_rational()
+    return {"C": str(rat) if rat is not None else c, "G": g}
+
+
+# Library functions are called through lambdas, which look them up in this
+# module when the verb runs, so a wrapper installed on a module attribute at
+# run time (a profiler, say) sees the call.  Short reader names keep each
+# entry to a line or two.
+_SN, _DC, _ZS, _FN, _BD, _PHI = (SupernaturalNumber, DivisorChain, ProfiniteInt,
+                                 LocConstFn, BDElement, PhiFn)
+_INT = _as_int
+
+VERBS = {
+    "sn": {
+        "mul": ((("a", _SN), ("b", _SN)), lambda a, b: a * b,
+                "Product of two supernatural numbers."),
+        "divides": ((("l", _INT), ("s", _SN)), lambda l, s: {"divides": s.divisible_by(l)},
+                    "Whether the integer l divides the supernatural number s."),
+        "gcd": ((("n", _INT), ("s", _SN)), lambda n, s: {"gcd": s.gcd(n)},
+                "Finite gcd of an integer with a supernatural number."),
+        "chain": ((("s", _SN), ("depth", _INT)),
+                  lambda s, depth: {"chain": s.divisor_chain(depth)},
+                  "Canonical divisor chain of the given depth."),
+    },
+    "zs": {
+        "embed": ((("x", _INT), ("chain", _DC)), lambda x, chain: chain.embed(x),
+                  "Embed an integer along a divisor chain."),
+        "fromresidue": ((("r", _INT), ("l", _INT), ("chain", _DC)),
+                        lambda r, l, chain: chain.from_residue(r, l),
+                        "Digits of the element with the given top-level residue."),
+        "residue": ((("x", _ZS), ("l", _INT)), lambda x, l: {"residue": x.residue(l)},
+                    "Residue of a truncated element at a divisor of its top level."),
+        "add": ((("x", _ZS), ("y", _ZS)), lambda x, y: x + y, None),
+        "neg": ((("x", _ZS),), lambda x: -x, None),
+        "mul": ((("x", _ZS), ("y", _ZS)), lambda x, y: x * y, None),
+        "shift": ((("x", _ZS), ("m", _INT, 1)), lambda x, m: x.shift(m),
+                  "Odometer shift by m (default 1)."),
+    },
+    "cyc": {
+        "root": ((("k", _INT), ("n", _INT)), lambda k, n: root_of_unity(k, n),
+                 "The root of unity zeta_n^k."),
+        "add": ((("a", Cyclo), ("b", Cyclo)), lambda a, b: a + b, None),
+        "mul": ((("a", Cyclo), ("b", Cyclo)), lambda a, b: a * b, None),
+        "conj": ((("a", Cyclo),), lambda a: a.conj(), None),
+        "scale": ((("a", Cyclo), ("c", _as_fraction)), lambda a, c: a * c, None),
+        "iszero": ((("a", Cyclo),), lambda a: {"is_zero": a.is_zero()}, None),
+        "eval": ((("a", Cyclo), ("precision", _INT, 53)),
+                 lambda a, precision: _re_im(a.to_complex(precision)),
+                 "Floating point evaluation (re, im)."),
+    },
+    "fn": {
+        "char": ((("l", _INT), ("k", _INT)), lambda l, k: character(l, k),
+                 "The character of period l and index k."),
+        "evaluate": ((("f", _FN), ("x", _ZS)), lambda f, x: f.evaluate(x), None),
+        "pullback": ((("f", _FN), ("m", _INT)), lambda f, m: f.pullback(m), None),
+        "haar": ((("f", _FN),), lambda f: f.haar_integral(), None),
+        "decompose": ((("f", _FN),), lambda f: {"coefficients": {
+            str(k): c for k, c in sorted(f.char_coefficients().items())}},
+                      "Exact character coefficients of a periodic function."),
+    },
+    "bd": {
+        "mul": ((("a", _BD), ("b", _BD)), lambda a, b: a * b, None),
+        "adjoint": ((("a", _BD),), lambda a: a.adjoint(), None),
+        "delta": ((("a", _BD),), lambda a: a.delta_label(),
+                  "The label derivation applied to an element."),
+        "rho": ((("a", _BD), ("theta", _as_fraction)), lambda a, theta: a.circle_action(theta),
+                "The circle action at a rational angle."),
+        "fourier": ((("a", _BD), ("n", _INT)), lambda a, n: a.fourier_coefficient(n), None),
+        "symbol": ((("a", _BD),), lambda a: a.matrix_symbol(), None),
+        "norm": ((("a", _BD), ("m", _INT, 0), ("grid", _INT, 256), ("method", _raw, "binomial")),
+                 lambda a, m, grid, method: operator_norm(a, m=m, grid=grid, method=method),
+                 "Norm report with the exact window bracket."),
+        "trace": ((("a", _BD),), lambda a: a.trace(), None),
+        "spectrum": ((("a", _BD), ("grid", _INT, 256)), lambda a, grid: {"points": [
+            [w.real, w.imag] for w in spectrum_sample(a, grid=grid)]},
+                     "Eigenvalues of the symbol sampled over the circle."),
+    },
+    "der": {
+        "apply": ((("d", DerivationData), ("b", _BD)), lambda d, b: d.apply(b), None),
+        "component": ((("d", DerivationData), ("n", _INT)),
+                      lambda d, n: d.fourier_component(n), None),
+        "cocycle": ((("ft", _FN),), lambda ft: solve_cocycle(ft),
+                    "Solve G o beta - G = ft for mean-zero ft."),
+        "decompose": ((("f", _FN),), lambda f: _mean_and_coboundary(*decompose_invariant(f)),
+                      "Split F into its mean and a coboundary: F = C + (G o beta - G)."),
+        "recover": ((("n", _INT), ("l", _INT), ("k", _INT), ("delta", _BD)),
+                    lambda n, l, k, delta: recover_covariant(n, l, k, delta), None),
+        "pickchar": ((("n", _INT), ("s", _SN)),
+                     lambda n, s: dict(zip(("l", "j", "bound"), pick_character(n, s))),
+                     "Character with the certified gap |1 - chi(q(n))| >= 3/2."),
+        "nonsmooth": ((("s", _SN), ("chain_depth", _INT), ("terms", _INT), ("l", _INT),
+                       ("k", _INT)),
+                      lambda s, depth, terms, l, k: {
+                          "laurent": nonsmooth_commutator(s, depth, terms, l, k)},
+                      "Truncated non-smooth commutator polynomial."),
+    },
+    "k": {
+        "proj": ((("l", _INT), ("j", _INT), ("s", _SN)),
+                 lambda l, j, s: residue_projection(l, j, s),
+                 "Projection onto the residue class j mod l."),
+        "k0": ((("p", _BD),), lambda p: {"class": k0_class(p)},
+               "K0 class of a projection (trace pairing)."),
+        "homobstruction": ((("l", _INT), ("a", _INT), ("chain", _DC)),
+                           lambda l, a, chain: {"witness": hom_obstruction(l, a, chain)}, None),
+        "phival": ((("phi", _PHI), ("l", _INT), ("k", _INT)),
+                   lambda phi, l, k: {"value": phi.value(l, k)}, None),
+        "r": ((("phi", _PHI), ("l", _INT), ("lp", _INT), ("mode", _raw, "def")),
+              lambda phi, l, lp, mode: {"value": phi.r_sum(l, lp, mode)},
+              "Running double sum R(l, l') in either convention."),
+        "taurho": ((("phi", _PHI),), lambda phi: {"tau": phi.tau(), "rho": phi.rho()}, None),
+        "coboundary": ((("phi", _PHI),), lambda phi: phi.coboundary(), None),
+        "psi": ((("phi", _PHI),), lambda phi: phi.coboundary_preimage(),
+                "Preimage under 1 - shift* on the tau-kernel."),
+        "digitphi": ((("x", _ZS),), lambda x: PhiFn.from_profinite(x),
+                     "The digit construction certifying surjectivity of rho."),
+    },
+    "hom": {
+        "snf": ((("matrix", IntMatrix),), lambda m: dict(zip("UDV", smith_normal_form(m))),
+                "Smith normal form with unimodular transformations."),
+        "ext": ((("matrix", IntMatrix),), lambda m: dict(zip(("hom", "ext"), ext1_hom(m))),
+                "Hom(G, Z) and Ext^1(G, Z) for G presented by the matrix."),
+    },
+}
+
+_GROUP_HELP = {
+    "sn": "Supernatural number arithmetic.",
+    "zs": "Truncated odometer ring arithmetic.",
+    "cyc": "Exact cyclotomic values.",
+    "fn": "Locally constant functions on the odometer.",
+    "bd": "Crossed-product algebra elements.",
+    "der": "Derivation data and constructive lemmas.",
+    "k": "K-theoretic invariants.",
+    "hom": "Smith normal form and Ext/Hom.",
+}
+
 _FMT_OPT = click.option("--format", "fmt", default="compact",
                         type=click.Choice(["pretty", "compact"]))
 
 
-def _op(group, name):
-    """Declare a subcommand that emits one JSON document."""
-    def wrap(fn):
-        @group.command(name=name, help=fn.__doc__)
-        @_JSON_OPT
-        @_FMT_OPT
-        @click.pass_context
-        def _cmd(ctx, json_file, fmt, **kw):
-            doc = fn(_gather(json_file, **kw))
-            click.echo(_dumps(doc, fmt))
-        for par in reversed(getattr(fn, "_cli_params", [])):
-            _cmd = par(_cmd)
-        return _cmd
-    return wrap
+def _command(verb: str, params: tuple, fn, help_text) -> click.Command:
+    """The click command that runs one table entry and prints its document."""
+    def run(json_file, fmt, **inline):
+        data = _gather(json_file, **inline)
+        missing = [name for name, _, *default in params if not default and name not in data]
+        if missing:
+            raise ValueError(f"missing required argument(s): {', '.join(missing)}")
+        args = [_read(reader, data.get(name, *default), name)
+                for name, reader, *default in params]
+        click.echo(_dumps(_plain(fn(*args)), fmt))
 
-
-def _params(*decls):
-    def wrap(fn):
-        fn._cli_params = [click.option(f"--{d.replace('_', '-')}", d, default=None)
-                          for d in decls]
-        return fn
-    return wrap
+    options = [click.Option([f"--{p[0].replace('_', '-')}", p[0]]) for p in params]
+    options.append(click.Option(["--json", "json_file"],
+                                help="JSON file (or - for stdin) supplying missing options."))
+    return _FMT_OPT(click.Command(verb, callback=run, params=options, help=help_text))
 
 
 @click.group()
@@ -140,432 +286,10 @@ def cli():
     """Exact computer algebra for odometer crossed-product algebras."""
 
 
-sn = click.Group("sn", help="Supernatural number arithmetic.")
-zs = click.Group("zs", help="Truncated odometer ring arithmetic.")
-cyc = click.Group("cyc", help="Exact cyclotomic values.")
-fn_grp = click.Group("fn", help="Locally constant functions on the odometer.")
-bd = click.Group("bd", help="Crossed-product algebra elements.")
-der = click.Group("der", help="Derivation data and constructive lemmas.")
-kgrp = click.Group("k", help="K-theoretic invariants.")
-hom = click.Group("hom", help="Smith normal form and Ext/Hom.")
-for g in (sn, zs, cyc, fn_grp, bd, der, kgrp, hom):
-    cli.add_command(g)
+for _group, _verbs in VERBS.items():
+    cli.add_command(click.Group(_group, help=_GROUP_HELP[_group], commands=[
+        _command(verb, *entry) for verb, entry in _verbs.items()]))
 
-
-# -- sn ----------------------------------------------------------------------
-
-@_op(sn, "mul")
-@_params("a", "b")
-def _sn_mul(d):
-    """Product of two supernatural numbers."""
-    a, b = _require(d, "a", "b")
-    return (SupernaturalNumber.from_json(a) * SupernaturalNumber.from_json(b)).to_json()
-
-
-@_op(sn, "divides")
-@_params("l", "s")
-def _sn_divides(d):
-    """Whether the integer l divides the supernatural number s."""
-    l, s = _require(d, "l", "s")
-    return {"divides": SupernaturalNumber.from_json(s).divisible_by(_as_int(l, "l"))}
-
-
-@_op(sn, "gcd")
-@_params("n", "s")
-def _sn_gcd(d):
-    """Finite gcd of an integer with a supernatural number."""
-    n, s = _require(d, "n", "s")
-    return {"gcd": SupernaturalNumber.from_json(s).gcd(_as_int(n, "n"))}
-
-
-@_op(sn, "chain")
-@_params("s", "depth")
-def _sn_chain(d):
-    """Canonical divisor chain of the given depth."""
-    s, depth = _require(d, "s", "depth")
-    return {"chain": SupernaturalNumber.from_json(s).divisor_chain(_as_int(depth, "depth"))}
-
-
-# -- zs ----------------------------------------------------------------------
-
-@_op(zs, "embed")
-@_params("x", "chain")
-def _zs_embed(d):
-    """Embed an integer along a divisor chain."""
-    x, chain = _require(d, "x", "chain")
-    return DivisorChain.from_json(chain).embed(_as_int(x, "x")).to_json()
-
-
-@_op(zs, "fromresidue")
-@_params("r", "l", "chain")
-def _zs_fromresidue(d):
-    """Digits of the element with the given top-level residue."""
-    r, l, chain = _require(d, "r", "l", "chain")
-    return DivisorChain.from_json(chain).from_residue(
-        _as_int(r, "r"), _as_int(l, "l")).to_json()
-
-
-@_op(zs, "residue")
-@_params("x", "l")
-def _zs_residue(d):
-    """Residue of a truncated element at a divisor of its top level."""
-    x, l = _require(d, "x", "l")
-    return {"residue": ProfiniteInt.from_json(x).residue(_as_int(l, "l"))}
-
-
-@_op(zs, "add")
-@_params("x", "y")
-def _zs_add(d):
-    x, y = _require(d, "x", "y")
-    return (ProfiniteInt.from_json(x) + ProfiniteInt.from_json(y)).to_json()
-
-
-@_op(zs, "neg")
-@_params("x")
-def _zs_neg(d):
-    (x,) = _require(d, "x")
-    return (-ProfiniteInt.from_json(x)).to_json()
-
-
-@_op(zs, "mul")
-@_params("x", "y")
-def _zs_mul(d):
-    x, y = _require(d, "x", "y")
-    return (ProfiniteInt.from_json(x) * ProfiniteInt.from_json(y)).to_json()
-
-
-@_op(zs, "shift")
-@_params("x", "m")
-def _zs_shift(d):
-    """Odometer shift by m (default 1)."""
-    (x,) = _require(d, "x")
-    return ProfiniteInt.from_json(x).shift(_as_int(d.get("m", 1), "m")).to_json()
-
-
-# -- cyc ----------------------------------------------------------------------
-
-@_op(cyc, "root")
-@_params("k", "n")
-def _cyc_root(d):
-    """The root of unity zeta_n^k."""
-    k, n = _require(d, "k", "n")
-    return root_of_unity(_as_int(k, "k"), _as_int(n, "n")).to_json()
-
-
-@_op(cyc, "add")
-@_params("a", "b")
-def _cyc_add(d):
-    a, b = _require(d, "a", "b")
-    return _cyclo_out(Cyclo.from_json(a) + Cyclo.from_json(b))
-
-
-@_op(cyc, "mul")
-@_params("a", "b")
-def _cyc_mul(d):
-    a, b = _require(d, "a", "b")
-    return _cyclo_out(Cyclo.from_json(a) * Cyclo.from_json(b))
-
-
-@_op(cyc, "conj")
-@_params("a")
-def _cyc_conj(d):
-    (a,) = _require(d, "a")
-    return _cyclo_out(Cyclo.from_json(a).conj())
-
-
-@_op(cyc, "scale")
-@_params("a", "c")
-def _cyc_scale(d):
-    a, c = _require(d, "a", "c")
-    return _cyclo_out(Cyclo.from_json(a) * _as_fraction(c, "c"))
-
-
-@_op(cyc, "iszero")
-@_params("a")
-def _cyc_iszero(d):
-    (a,) = _require(d, "a")
-    return {"is_zero": Cyclo.from_json(a).is_zero()}
-
-
-@_op(cyc, "eval")
-@_params("a", "precision")
-def _cyc_eval(d):
-    """Floating point evaluation (re, im)."""
-    (a,) = _require(d, "a")
-    z = Cyclo.from_json(a).to_complex(_as_int(d.get("precision", 53), "precision"))
-    return {"re": z.real, "im": z.imag}
-
-
-# -- fn -----------------------------------------------------------------------
-
-@_op(fn_grp, "char")
-@_params("l", "k")
-def _fn_char(d):
-    """The character of period l and index k."""
-    l, k = _require(d, "l", "k")
-    return character(_as_int(l, "l"), _as_int(k, "k")).to_json()
-
-
-@_op(fn_grp, "evaluate")
-@_params("f", "x")
-def _fn_evaluate(d):
-    f, x = _require(d, "f", "x")
-    return _cyclo_out(LocConstFn.from_json(f).evaluate(ProfiniteInt.from_json(x)))
-
-
-@_op(fn_grp, "pullback")
-@_params("f", "m")
-def _fn_pullback(d):
-    f, m = _require(d, "f", "m")
-    return LocConstFn.from_json(f).pullback(_as_int(m, "m")).to_json()
-
-
-@_op(fn_grp, "haar")
-@_params("f")
-def _fn_haar(d):
-    (f,) = _require(d, "f")
-    return _cyclo_out(LocConstFn.from_json(f).haar_integral())
-
-
-@_op(fn_grp, "decompose")
-@_params("f")
-def _fn_decompose(d):
-    """Exact character coefficients of a periodic function."""
-    (f,) = _require(d, "f")
-    coeffs = LocConstFn.from_json(f).char_coefficients()
-    return {"coefficients": {str(k): c.to_json() for k, c in sorted(coeffs.items())}}
-
-
-# -- bd -----------------------------------------------------------------------
-
-@_op(bd, "mul")
-@_params("a", "b")
-def _bd_mul(d):
-    a, b = _require(d, "a", "b")
-    return (BDElement.from_json(a) * BDElement.from_json(b)).to_json()
-
-
-@_op(bd, "adjoint")
-@_params("a")
-def _bd_adjoint(d):
-    (a,) = _require(d, "a")
-    return BDElement.from_json(a).adjoint().to_json()
-
-
-@_op(bd, "delta")
-@_params("a")
-def _bd_delta(d):
-    """The label derivation applied to an element."""
-    (a,) = _require(d, "a")
-    return BDElement.from_json(a).delta_label().to_json()
-
-
-@_op(bd, "rho")
-@_params("a", "theta")
-def _bd_rho(d):
-    """The circle action at a rational angle."""
-    a, theta = _require(d, "a", "theta")
-    return BDElement.from_json(a).circle_action(_as_fraction(theta, "theta")).to_json()
-
-
-@_op(bd, "fourier")
-@_params("a", "n")
-def _bd_fourier(d):
-    a, n = _require(d, "a", "n")
-    return BDElement.from_json(a).fourier_coefficient(_as_int(n, "n")).to_json()
-
-
-@_op(bd, "symbol")
-@_params("a")
-def _bd_symbol(d):
-    (a,) = _require(d, "a")
-    return BDElement.from_json(a).matrix_symbol().to_json()
-
-
-@_op(bd, "norm")
-@_params("a", "m", "grid", "method")
-def _bd_norm(d):
-    """Norm report with the exact window bracket."""
-    (a,) = _require(d, "a")
-    return operator_norm(BDElement.from_json(a),
-                         m=_as_int(d.get("m", 0), "m"),
-                         grid=_as_int(d.get("grid", 256), "grid"),
-                         method=d.get("method", "binomial")).to_json()
-
-
-@_op(bd, "trace")
-@_params("a")
-def _bd_trace(d):
-    (a,) = _require(d, "a")
-    return _cyclo_out(BDElement.from_json(a).trace())
-
-
-@_op(bd, "spectrum")
-@_params("a", "grid")
-def _bd_spectrum(d):
-    """Eigenvalues of the symbol sampled over the circle."""
-    (a,) = _require(d, "a")
-    pts = spectrum_sample(BDElement.from_json(a), grid=_as_int(d.get("grid", 256), "grid"))
-    return {"points": _complex_pairs(pts)}
-
-
-# -- der -----------------------------------------------------------------------
-
-@_op(der, "apply")
-@_params("d", "b")
-def _der_apply(data):
-    dd, b = _require(data, "d", "b")
-    return DerivationData.from_json(dd).apply(BDElement.from_json(b)).to_json()
-
-
-@_op(der, "component")
-@_params("d", "n")
-def _der_component(data):
-    dd, n = _require(data, "d", "n")
-    return DerivationData.from_json(dd).fourier_component(_as_int(n, "n")).to_json()
-
-
-@_op(der, "cocycle")
-@_params("ft")
-def _der_cocycle(d):
-    """Solve G o beta - G = ft for mean-zero ft."""
-    (ft,) = _require(d, "ft")
-    return solve_cocycle(LocConstFn.from_json(ft)).to_json()
-
-
-@_op(der, "decompose")
-@_params("f")
-def _der_decompose(d):
-    """Split F into its mean and a coboundary: F = C + (G o beta - G)."""
-    (f,) = _require(d, "f")
-    c, g = decompose_invariant(LocConstFn.from_json(f))
-    rat = c.as_rational()
-    return {"C": str(rat) if rat is not None else c.to_json(), "G": g.to_json()}
-
-
-@_op(der, "recover")
-@_params("n", "l", "k", "delta")
-def _der_recover(d):
-    n, l, k, delta = _require(d, "n", "l", "k", "delta")
-    return recover_covariant(_as_int(n, "n"), _as_int(l, "l"), _as_int(k, "k"),
-                             BDElement.from_json(delta)).to_json()
-
-
-@_op(der, "pickchar")
-@_params("n", "s")
-def _der_pickchar(d):
-    """Character with the certified gap |1 - chi(q(n))| >= 3/2."""
-    n, s = _require(d, "n", "s")
-    pick = pick_character(_as_int(n, "n"), SupernaturalNumber.from_json(s))
-    return {"l": pick.l, "j": pick.j, "bound": pick.bound}
-
-
-@_op(der, "nonsmooth")
-@_params("s", "chain_depth", "terms", "l", "k")
-def _der_nonsmooth(d):
-    """Truncated non-smooth commutator polynomial."""
-    s, depth, terms, l, k = _require(d, "s", "chain_depth", "terms", "l", "k")
-    poly = nonsmooth_commutator(SupernaturalNumber.from_json(s),
-                                _as_int(depth, "chain_depth"), _as_int(terms, "terms"),
-                                _as_int(l, "l"), _as_int(k, "k"))
-    return {"laurent": poly.to_json()}
-
-
-# -- k --------------------------------------------------------------------------
-
-@_op(kgrp, "proj")
-@_params("l", "j", "s")
-def _k_proj(d):
-    """Projection onto the residue class j mod l."""
-    l, j, s = _require(d, "l", "j", "s")
-    return residue_projection(_as_int(l, "l"), _as_int(j, "j"),
-                              SupernaturalNumber.from_json(s)).to_json()
-
-
-@_op(kgrp, "k0")
-@_params("p")
-def _k_k0(d):
-    """K0 class of a projection (trace pairing)."""
-    (p,) = _require(d, "p")
-    return {"class": k0_class(BDElement.from_json(p)).to_json()}
-
-
-@_op(kgrp, "homobstruction")
-@_params("l", "a", "chain")
-def _k_homobstruction(d):
-    l, a, chain = _require(d, "l", "a", "chain")
-    return {"witness": hom_obstruction(_as_int(l, "l"), _as_int(a, "a"),
-                                       DivisorChain.from_json(chain))}
-
-
-@_op(kgrp, "phival")
-@_params("phi", "l", "k")
-def _k_phival(d):
-    phi, l, k = _require(d, "phi", "l", "k")
-    return {"value": PhiFn.from_json(phi).value(_as_int(l, "l"), _as_int(k, "k"))}
-
-
-@_op(kgrp, "r")
-@_params("phi", "l", "lp", "mode")
-def _k_r(d):
-    """Running double sum R(l, l') in either convention."""
-    phi, l, lp = _require(d, "phi", "l", "lp")
-    return {"value": PhiFn.from_json(phi).r_sum(
-        _as_int(l, "l"), _as_int(lp, "lp"), d.get("mode", "def"))}
-
-
-@_op(kgrp, "taurho")
-@_params("phi")
-def _k_taurho(d):
-    (phi,) = _require(d, "phi")
-    p = PhiFn.from_json(phi)
-    return {"tau": p.tau(), "rho": p.rho().to_json()}
-
-
-@_op(kgrp, "coboundary")
-@_params("phi")
-def _k_coboundary(d):
-    (phi,) = _require(d, "phi")
-    return PhiFn.from_json(phi).coboundary().to_json()
-
-
-@_op(kgrp, "psi")
-@_params("phi")
-def _k_psi(d):
-    """Preimage under 1 - shift* on the tau-kernel."""
-    (phi,) = _require(d, "phi")
-    return PhiFn.from_json(phi).coboundary_preimage().to_json()
-
-
-@_op(kgrp, "digitphi")
-@_params("x")
-def _k_digitphi(d):
-    """The digit construction certifying surjectivity of rho."""
-    (x,) = _require(d, "x")
-    return PhiFn.from_profinite(ProfiniteInt.from_json(x)).to_json()
-
-
-# -- hom --------------------------------------------------------------------------
-
-@_op(hom, "snf")
-@_params("matrix")
-def _hom_snf(d):
-    """Smith normal form with unimodular transformations."""
-    (mat,) = _require(d, "matrix")
-    u, dd, v = smith_normal_form(IntMatrix.from_json(mat))
-    return {"U": u.to_json(), "D": dd.to_json(), "V": v.to_json()}
-
-
-@_op(hom, "ext")
-@_params("matrix")
-def _hom_ext(d):
-    """Hom(G, Z) and Ext^1(G, Z) for G presented by the matrix."""
-    (mat,) = _require(d, "matrix")
-    h, e = ext1_hom(IntMatrix.from_json(mat))
-    return {"hom": h.to_json(), "ext": e.to_json()}
-
-
-# -- verify -------------------------------------------------------------------------
 
 @cli.command(name="verify")
 @click.argument("suite")

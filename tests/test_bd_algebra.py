@@ -192,6 +192,28 @@ def test_norm_u_plus_uinv():
     assert rep.window == (1.0, 2.0)
 
 
+def test_sampling_uses_module_numpy(monkeypatch):
+    # numpy loads on first use and is read from bd_algebra.np, so a wrapper
+    # assigned there sees every linear-algebra call
+    calls = []
+
+    class Linalg:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np.linalg, name)
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(bd_algebra, "np", Numpy())
+    operator_norm(U + U.adjoint(), grid=16)
+    spectrum_sample(U, grid=16)
+    assert calls == ["svd", "eigvals"]
+
+
 def test_norm_u_powers_of_two():
     for m in range(7):
         rep = operator_norm(U, m=m, grid=256)

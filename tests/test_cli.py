@@ -1,10 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from bdalg.cli import main
+from bdalg.cli import VERBS, main
 
 
 def run(capsys, *argv):
@@ -27,6 +28,8 @@ BDE = '{"S":[[2,"inf"]],"period":2,"coeffs":{"1":' + FN2 + '}}'
 DER = '{"C":"1","G":' + FN2 + ',"covariant":{}}'
 PHI = '{"chain":[2,4],"top":[1,-1,2,-2]}'
 MAT = '{"rows":2,"cols":2,"entries":[2,0,0,3]}'
+PROJ = ('{"S":[[2,"inf"]],"period":2,"coeffs":{"0":{"period":2,"values":'
+        '[{"order":1,"terms":[[0,"1"]]},{"order":1,"terms":[]}]}}}')
 
 ALL_VERBS = [
     ("sn", "mul", ["--a", SN, "--b", SN]),
@@ -65,10 +68,12 @@ ALL_VERBS = [
     ("der", "component", ["--d", DER, "--n", "0"]),
     ("der", "cocycle", ["--ft", FN2]),
     ("der", "decompose", ["--f", FN2]),
+    ("der", "recover", ["--n", "1", "--l", "2", "--k", "1", "--delta", BDE]),
     ("der", "pickchar", ["--n", "2", "--s", SN]),
     ("der", "nonsmooth", ["--s", '[[2,"inf"]]', "--chain-depth", "5",
                           "--terms", "3", "--l", "4", "--k", "1"]),
     ("k", "proj", ["--l", "2", "--j", "0", "--s", SN]),
+    ("k", "k0", ["--p", PROJ]),
     ("k", "homobstruction", ["--l", "1", "--a", "4", "--chain", "[2,4,8,16]"]),
     ("k", "phival", ["--phi", PHI, "--l", "2", "--k", "0"]),
     ("k", "r", ["--phi", PHI, "--l", "1", "--lp", "4", "--mode", "def"]),
@@ -87,6 +92,43 @@ def test_every_verb_dispatches(capsys, group, verb, args):
     code, doc = run_json(capsys, group, verb, *args)
     assert code == 0
     assert isinstance(doc, (dict, list))
+
+
+def test_all_verbs_cover_the_table():
+    assert sorted((g, v) for g, v, _ in ALL_VERBS) == sorted(
+        (g, v) for g, verbs in VERBS.items() for v in verbs)
+
+
+@pytest.mark.parametrize("group,verb", [(g, v) for g, v, _ in ALL_VERBS],
+                         ids=[f"{g}-{v}" for g, v, _ in ALL_VERBS])
+def test_help_names_options_in_order(capsys, group, verb):
+    code, out = run(capsys, group, verb, "--help")
+    assert code == 0
+    names = [f"--{p[0].replace('_', '-')} " for p in VERBS[group][verb][0]]
+    positions = [out.index(n) for n in names + ["--json ", "--format "]]
+    assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("group,verb,args,explicit", [
+    ("zs", "shift", ["--x", PROF], ["--m", "1"]),
+    ("cyc", "eval", ["--a", CYC], ["--precision", "53"]),
+    ("bd", "norm", ["--a", BDE], ["--m", "0", "--grid", "256", "--method", "binomial"]),
+    ("bd", "spectrum", ["--a", BDE], ["--grid", "256"]),
+    ("k", "r", ["--phi", PHI, "--l", "1", "--lp", "4"], ["--mode", "def"]),
+])
+def test_defaults_match_explicit_values(capsys, group, verb, args, explicit):
+    code, implicit_out = run(capsys, group, verb, *args)
+    assert code == 0
+    assert run(capsys, group, verb, *args, *explicit) == (0, implicit_out)
+
+
+def test_json_document_on_stdin(capsys, monkeypatch):
+    doc = {"a": json.loads(BDE), "grid": 64}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = run(capsys, "bd", "norm", "--json", "-", "--m", "1")
+    assert code == 0
+    assert out == run(capsys, "bd", "norm", "--a", BDE, "--grid", "64", "--m", "1")[1]
+    assert json.loads(out)["grid"] == 64
 
 
 def test_recover_verb(capsys):
@@ -233,6 +275,8 @@ def test_invalid_input_exit_1(capsys):
     ("der", "component", "--d", '{"C":true,"G":' + FN2 + ',"covariant":{}}', "--n", "0"),
     ("der", "apply", "--d", '{"C":"1","G":' + FN2 + ',"covariant":[]}', "--b", BDE),
     ("fn", "haar", "--f", '{"period":true,"values":[{"order":1,"terms":[[0,"1"]]}]}'),
+    *[("cyc", "scale", "--a", CYC, "--c", c) for c in ("[1]", "{}", "null", "[[1]]", "true")],
+    *[("bd", "rho", "--a", BDE, "--theta", t) for t in ("[1]", "{}", "null", "[[1]]", "true")],
 ])
 def test_malformed_document_exit_1(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -302,3 +346,20 @@ def test_sn_large_integer_is_fast(verb, arg, want):
         capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == want
+
+
+def test_sn_large_prime_factor_is_fast():
+    # 10^18 + 3 is prime: trial division up to its square root would not finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdalg", "sn", "mul", "--a", "[[1000000000000000003,1]]",
+         "--b", "[[2,1]]"], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == [[2, 1], [1000000000000000003, 1]]
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bdalg.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdalg import INF, SupernaturalNumber
+from bdalg.supernatural import is_prime
 
 S23 = SupernaturalNumber.of({2: INF, 3: INF})
 
@@ -94,3 +95,27 @@ def test_rejects_bad_input():
         SupernaturalNumber(((3, 1), (2, 1)))
     with pytest.raises(ValueError):
         SupernaturalNumber.from_json([[2, -1]])
+
+
+def test_is_prime_matches_sieve():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [q for q in range(n) if is_prime(q)] == [q for q in range(n) if sieve[q]]
+
+
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                               3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_prime_and_limit():
+    assert is_prime(10 ** 18 + 3)
+    assert SupernaturalNumber.of({10 ** 18 + 3: 1}).gcd(2 * (10 ** 18 + 3)) == 10 ** 18 + 3
+    # psi_13: the first strong pseudoprime to every base 2..41
+    with pytest.raises(ValueError, match="too large"):
+        SupernaturalNumber.of({3317044064679887385961981: 1})
