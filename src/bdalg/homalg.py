@@ -1,10 +1,12 @@
 """Integer Smith normal form and Hom/Ext-to-Z of finitely generated Abelian
 groups given by presentation matrices.
 
-The normal form is computed with explicit unimodular transformations and a
-fixed pivoting rule (smallest absolute value, then smallest row, then smallest
-column), so the output is deterministic.  Everything is exact integer
-arithmetic; the matrices here are desk scale.
+The normal form is computed with explicit unimodular transformations.  Each
+pivot is the entry of smallest absolute value in the remaining block (then
+smallest row, then smallest column); its column and then its row are cleared
+by nearest-integer quotients, the smallest remainder taking over as pivot, so
+the output is deterministic.  D is unique; U and V are one valid pair of many.
+Everything is exact integer arithmetic; the matrices here are desk scale.
 
 Two identities relevant to the odometer algebras involve groups that are not
 finitely generated and have no faithful finite presentation, so they are
@@ -42,7 +44,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = [tuple(int(v) for v in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         return cls(len(rows), len(rows[0]) if rows else 0, tuple(rows))
 
     @classmethod
@@ -136,82 +138,71 @@ class FGAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _diagonalize(w, vt, m, n) -> None:
+    """Bring the left m x n block of the row list w to Smith form in place.
+
+    A row operation rewrites a whole row of w, so a border to the right of
+    the block (U) follows it; a column operation rewrites that column in the
+    rows not yet finished and the matching row of vt (the transpose of V).
+    """
+    t = 0
+    while t < min(m, n):
+        pivot = min(((abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                     if w[i][j]), default=None)
+        if pivot is None:
+            return
+        _, i, j = pivot
+        w[t], w[i] = w[i], w[t]
+        while j is not None:  # bring column j in as column t, then clear column t and row t
+            for r in w[t:]:
+                r[t], r[j] = r[j], r[t]
+            vt[t], vt[j] = vt[j], vt[t]
+            while True:  # the smallest remainder in column t becomes the pivot
+                top, p, best = w[t], w[t][t], None
+                for i in range(t + 1, m):
+                    if w[i][t]:
+                        q = (2 * w[i][t] + p) // (2 * p)  # nearest-integer quotient
+                        w[i] = r = [a - q * b for a, b in zip(w[i], top)]
+                        if r[t] and (best is None or abs(r[t]) < abs(w[best][t])):
+                            best = i
+                if best is None:
+                    break
+                w[t], w[best] = w[best], w[t]
+            top, p, j = w[t], w[t][t], None  # the same along row t, by columns
+            for k in range(t + 1, n):
+                if top[k]:
+                    q = (2 * top[k] + p) // (2 * p)
+                    for r in w[t:]:
+                        r[k] -= q * r[t]
+                    vt[k] = [a - q * b for a, b in zip(vt[k], vt[t])]
+                    if top[k] and (j is None or abs(top[k]) < abs(top[j])):
+                        j = k
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                         if w[i][j] % p), None)
+        if offender is not None:
+            w[t] = [a + b for a, b in zip(w[t], w[offender])]  # pull it in, then re-pick
+            continue
+        if p < 0:
+            w[t] = [-a for a in w[t]]
+        t += 1
+
+
 def smith_normal_form(a: IntMatrix):
     """Diagonalize by unimodular row and column operations.
 
     Returns (U, D, V) with U*A*V = D, det U = +-1, det V = +-1, and the
     diagonal of D a nonnegative divisibility chain d_1 | d_2 | ...
+
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))[1].diagonal()
+    [2, 4]
     """
     m, n = a.rows, a.cols
-    d = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        for j in range(n):
-            d[i][j] -= q * d[k][j]
-        for j in range(m):
-            u[i][j] -= q * u[k][j]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for i in range(m):
-            d[i][j] -= q * d[i][k]
-        for i in range(n):
-            v[i][j] -= q * v[i][k]
-
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for i in range(m):
-            d[i][j], d[i][k] = d[i][k], d[i][j]
-        for i in range(n):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
-
-    t = 0
-    while t < min(m, n):
-        pivot = min(
-            ((abs(d[i][j]), i, j)
-             for i in range(t, m) for j in range(t, n) if d[i][j] != 0),
-            default=None)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t] != 0:
-                row_op(i, t, d[i][t] // d[t][t])
-                dirty = dirty or d[i][t] != 0
-        for j in range(t + 1, n):
-            if d[t][j] != 0:
-                col_op(j, t, d[t][j] // d[t][t])
-                dirty = dirty or d[t][j] != 0
-        if dirty:
-            continue  # smaller remainders appeared; re-pick the pivot
-
-        offender = next(
-            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-             if d[i][j] % d[t][t] != 0), None)
-        if offender is not None:
-            row_op(t, offender[0], -1)  # pull the offending row in, then redo
-            continue
-
-        if d[t][t] < 0:
-            for j in range(n):
-                d[t][j] = -d[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
-        t += 1
-
-    return (IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(d) if m else IntMatrix(0, n, ()),
-            IntMatrix.from_rows(v) if n else IntMatrix(n, n, ()))
+    w = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(a.entries)]
+    vt = [[int(i == k) for k in range(n)] for i in range(n)]
+    _diagonalize(w, vt, m, n)
+    return (IntMatrix.from_rows([r[n:] for r in w]) if m else IntMatrix(0, 0, ()),
+            IntMatrix.from_rows([r[:n] for r in w]) if m else IntMatrix(0, n, ()),
+            IntMatrix.from_rows(zip(*vt)) if n else IntMatrix(n, n, ()))
 
 
 def ext1_hom(a: IntMatrix):
@@ -219,10 +210,14 @@ def ext1_hom(a: IntMatrix):
 
     With D the Smith form, Hom is free of rank (rows - rank D) and Ext^1 is the
     direct sum of Z/d over the elementary divisors d >= 2; higher Ext vanishes
-    over the integers.
+    over the integers.  The diagonal is computed without U and V.
+
+    >>> ext1_hom(IntMatrix.from_rows([[2, 0], [0, 3]]))[1].torsion
+    (6,)
     """
-    _, d, _ = smith_normal_form(a)
-    diag = [x for x in d.diagonal() if x != 0]
+    w = [list(r) for r in a.entries]
+    _diagonalize(w, [[] for _ in range(a.cols)], a.rows, a.cols)
+    diag = [w[i][i] for i in range(min(a.rows, a.cols)) if w[i][i]]
     hom = FGAbelianGroup(a.rows - len(diag))
     ext = FGAbelianGroup(0, tuple(x for x in diag if x >= 2))
     return hom, ext

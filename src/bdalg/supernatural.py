@@ -63,15 +63,26 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# prime_index sieves up to p, so at this bound it holds a 10 MB bytearray.
+_PRIME_INDEX_LIMIT = 10 ** 7
+
+
 def prime_index(p: int) -> int:
-    """1-based position of p in the sequence of all primes (2 is the 1st)."""
-    count = 0
+    """1-based position of p in the sequence of all primes (2 is the 1st).
+
+    Counts the primes up to p with a sieve of Eratosthenes; raises ValueError
+    above _PRIME_INDEX_LIMIT.
+    """
+    if p > _PRIME_INDEX_LIMIT:
+        raise ValueError(
+            f"{p} is too large: prime indices are counted only up to {_PRIME_INDEX_LIMIT}")
+    sieve = bytearray([0, 0]) + bytearray([1]) * (p - 1)
     q = 2
-    while q <= p:
-        if is_prime(q):
-            count += 1
+    while q * q <= p:
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, p + 1, q)))
         q += 1
-    return count
+    return sieve.count(1)
 
 
 @dataclass(frozen=True)
@@ -171,7 +182,7 @@ class SupernaturalNumber:
         indices = {p: prime_index(p) for p, _ in self.factors}
         chain: list[int] = []
         full = self.as_int() if self.is_finite else None
-        n = 0
+        n = min(indices.values(), default=1) - 1  # earlier steps give only 1
         while len(chain) < depth:
             n += 1
             value = 1

@@ -7,8 +7,14 @@ The crossed-product elements act on the standard basis (E_k) by
 so products and adjoints can be checked entry by entry against operator
 composition on a window of basis vectors, without going through the algebra's
 own multiplication.
+
+The Smith form's diagonal is pinned by the determinantal divisors: d_k is
+Delta_k / Delta_{k-1}, where Delta_k is the gcd of all k x k minors.
 """
 from __future__ import annotations
+
+import math
+from itertools import combinations
 
 from bdalg import BDElement, Cyclo
 
@@ -43,3 +49,24 @@ def columns_equal(col1: dict, col2: dict) -> bool:
 def entry(a: BDElement, i: int, j: int) -> Cyclo:
     """The matrix entry <E_i, a E_j>."""
     return apply_to_basis(a, j).get(i, Cyclo.zero())
+
+
+def _det(rows: list) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def determinantal_divisors(rows: list) -> list:
+    """[Delta_0, ..., Delta_min(m, n)] for an m x n list of integer rows."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    out = [1]
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                g = math.gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
+        out.append(g)
+    return out

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bdalg.cli import VERBS, main
+from bdalg.homalg import IntMatrix
 
 
 def run(capsys, *argv):
@@ -220,6 +221,10 @@ def test_hom_commands(capsys):
                          '{"rows":2,"cols":2,"entries":[2,4,6,8]}')
     assert code == 0
     assert doc["D"]["entries"] == [2, 0, 0, 4]
+    # U and V are one valid pair of many: check U A V = D, not their entries
+    U, A, V, D = (IntMatrix.from_json(m) for m in (
+        doc["U"], {"rows": 2, "cols": 2, "entries": [2, 4, 6, 8]}, doc["V"], doc["D"]))
+    assert U * A * V == D
 
 
 def test_byte_identical_output(capsys):
@@ -355,6 +360,23 @@ def test_sn_large_prime_factor_is_fast():
          "--b", "[[2,1]]"], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [[2, 1], [1000000000000000003, 1]]
+
+
+def test_sn_chain_large_prime_is_fast():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdalg", "sn", "chain", "--s", "[[1000003,1]]", "--depth", "1"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"chain": [1000003]}
+
+
+def test_sn_chain_prime_above_limit_exit_1():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdalg", "sn", "chain", "--s", "[[10000019,1]]", "--depth", "1"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["error"]["type"] == "ValueError" and "too large" in doc["error"]["message"]
 
 
 def test_cli_import_does_not_load_numpy():

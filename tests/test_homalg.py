@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
+
+from oracles import determinantal_divisors
 
 
 def test_snf_single_entry():
@@ -60,6 +63,44 @@ def test_snf_properties(A):
     # after the first zero on the diagonal everything stays zero
     if 0 in diag:
         assert all(d == 0 for d in diag[diag.index(0):])
+
+
+def test_diagonal_matches_determinantal_divisors():
+    rng = random.Random(11)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        delta = determinantal_divisors(rows)
+        want = [delta[k] // delta[k - 1] if delta[k - 1] else 0
+                for k in range(1, len(delta))]
+        assert smith_normal_form(IntMatrix.from_rows(rows))[1].diagonal() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_ext_matches_snf_diagonal(A):
+    diag = [d for d in smith_normal_form(A)[1].diagonal() if d]
+    assert ext1_hom(A) == (FGAbelianGroup(A.rows - len(diag)),
+                           FGAbelianGroup(0, tuple(d for d in diag if d >= 2)))
+
+
+def test_snf_large_entries():
+    rng = random.Random(30)
+    A = IntMatrix.from_rows([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(30)]
+                             for _ in range(30)])
+    U, D, V = smith_normal_form(A)
+    assert U * A * V == D
+    assert abs(U.determinant()) == 1
+    assert abs(V.determinant()) == 1
+    diag = D.diagonal()
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert math.prod(diag) == abs(A.determinant())
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, "3"])
+def test_from_rows_refuses_inexact_entries(bad):
+    with pytest.raises(ValueError, match="non-integer"):
+        IntMatrix.from_rows([[1, bad]])
 
 
 def test_ext_cyclic():

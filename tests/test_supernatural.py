@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdalg import INF, SupernaturalNumber
-from bdalg.supernatural import is_prime
+from bdalg.supernatural import is_prime, prime_index
 
 S23 = SupernaturalNumber.of({2: INF, 3: INF})
 
@@ -119,3 +119,19 @@ def test_is_prime_large_prime_and_limit():
     # psi_13: the first strong pseudoprime to every base 2..41
     with pytest.raises(ValueError, match="too large"):
         SupernaturalNumber.of({3317044064679887385961981: 1})
+
+
+def test_prime_index_matches_counting():
+    count = 0
+    for q in range(20_000):
+        if is_prime(q):
+            count += 1
+            assert prime_index(q) == count
+
+
+def test_prime_index_limit():
+    assert prime_index(10 ** 7) == 664_579  # pi(10^7); the limit itself is counted
+    with pytest.raises(ValueError, match="too large"):
+        prime_index(10_000_019)
+    with pytest.raises(ValueError, match="too large"):
+        SupernaturalNumber.of({10_000_019: INF}).divisor_chain(1)
