@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn
-from .supernatural import SupernaturalNumber
+from .supernatural import SupernaturalNumber, _is_int
 
 
 class BDElement:

@@ -44,9 +44,16 @@ from .verify import SUITES, run_suite
 
 
 def _dumps(doc, fmt: str) -> str:
-    if fmt == "pretty":
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """The JSON text of a result.  Integers print in full however long they
+    are: the int-to-str digit limit is lifted while the output is written,
+    and only then (parsing the input keeps it)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(_plain(doc), sort_keys=True,
+                          **({"indent": 2} if fmt == "pretty" else {"separators": (",", ":")}))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _Exit2(Exception):
@@ -273,7 +280,7 @@ def _command(verb: str, params: tuple, fn, help_text) -> click.Command:
             raise ValueError(f"missing required argument(s): {', '.join(missing)}")
         args = [_read(reader, data.get(name, *default), name)
                 for name, reader, *default in params]
-        click.echo(_dumps(_plain(fn(*args)), fmt))
+        click.echo(_dumps(fn(*args), fmt))
 
     options = [click.Option([f"--{p[0].replace('_', '-')}", p[0]]) for p in params]
     options.append(click.Option(["--json", "json_file"],

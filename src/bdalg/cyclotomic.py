@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored as rational combinations of the N-th roots of unity
-zeta_N^e, 0 <= e < N (the group-algebra basis).  The zero test, and hence
-equality, reduces the representing polynomial modulo the N-th cyclotomic
-polynomial; values of different orders are first lifted into Q(zeta_lcm).
-This is exact and plenty fast at desk scale (orders up to a few hundred).
+zeta_N^e, 0 <= e < N.  Sums, products and conjugates work on these raw terms.
+Equality, hashing, the zero and rational tests and the JSON form all read one
+canonical form, computed on demand and cached: the value written on the
+Zumbroich basis of Q(zeta_n) at its conductor n, the least order whose field
+holds the value (never 2 mod 4; 1 for rationals).  This is the basis GAP uses
+(W. Bosma, "Canonical bases for cyclotomic fields", AAECC 1, 1990; T. Breuer,
+"Integral bases for subfields of cyclotomic fields", AAECC 8, 1997), so equal
+values have equal canonical terms.
 
 The cyclotomic polynomial cache is guarded by ``lru_cache``'s internal lock,
 so concurrent readers always see consistent data.
@@ -15,30 +19,15 @@ import functools
 import math
 from fractions import Fraction
 
-
-# ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (dense, constant term first)
-
-def _int_poly_exact_div(num: list, den: list) -> list:
-    """Exact division of integer polynomials; remainder must vanish."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0, "division is not exact"
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    assert all(c == 0 for c in num), "division is not exact"
-    return out
+from .supernatural import _is_int, factorize
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first.
 
-    Computed by dividing X^n - 1 by the cyclotomic polynomials of the proper
-    divisors of n, all exactly.
+    X^n - 1 divided exactly by the (monic) cyclotomic polynomials of the
+    proper divisors of n.
 
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
@@ -50,31 +39,72 @@ def cyclotomic_polynomial(n: int) -> tuple:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_exact_div(poly, list(cyclotomic_polynomial(d)))
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            for i in range(len(poly) - 1, k - 1, -1):  # poly[i] is a quotient coefficient
+                for j, c in enumerate(den[:k]):
+                    poly[i - k + j] -= poly[i] * c
+            assert not any(poly[:k]), "division is not exact"
+            poly = poly[k:]
     return tuple(poly)
 
 
-def _poly_rem(poly: list, mod: tuple) -> list:
-    """Remainder of a Fraction polynomial modulo a monic integer polynomial."""
-    rem = list(poly)
-    deg_m = len(mod) - 1
-    support = [(j, c) for j, c in enumerate(mod) if c and j < deg_m]
-    for i in range(len(rem) - 1, deg_m - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j, mc in support:
-                rem[i - deg_m + j] -= c * mc
-    del rem[deg_m:]
-    return rem
+# ---------------------------------------------------------------------------
+# the canonical form: the Zumbroich basis at the conductor
+
+@functools.lru_cache(maxsize=None)
+def _local(n: int) -> tuple:
+    """(p, p^k, (n/p^k)^-1 mod p^k) for every prime power p^k exactly dividing n."""
+    return tuple((p, p ** k, pow(n // p ** k, -1, p ** k)) for p, k in factorize(n).items())
+
+
+def _normal(order: int, terms: dict) -> tuple:
+    """(n, terms): the value sum c * zeta_order^e on the Zumbroich basis of
+    Q(zeta_n), n its conductor.
+
+    zeta_N^e is a basis element when, for every p^k exactly dividing N, the
+    leading base-p digit of the local exponent e * (N/p^k)^-1 mod p^k is not 0
+    (p odd) or not 1 (p = 2).  Other roots are rewritten one prime at a time by
+    sum_{b<p} zeta_N^(e + b*N/p) = 0, which changes only that digit.  Then N
+    steps down by p while the value lies in Q(zeta_(N/p)): when p divides every
+    exponent (p^2 | N or p = 2), or, for odd p exactly dividing N, when the
+    coefficients agree along each relation.
+
+    >>> _normal(4, {0: 1, 2: 1})
+    (1, {})
+    >>> _normal(6, {1: 1})
+    (3, {2: -1})
+    """
+    n = order
+    for p, q, inv in _local(n):
+        bad, top, step = int(p == 2), q // p, n // p
+        out: dict = {}
+        for e, c in terms.items():
+            if e * inv % q // top == bad:
+                for b in range(1, p):
+                    f = (e + b * step) % n
+                    out[f] = out[f] - c if f in out else -c
+            else:
+                out[e] = out[e] + c if e in out else c
+        terms = {e: c for e, c in out.items() if c}
+    while True:
+        for p, q, inv in _local(n):
+            if q > p or p == 2:
+                if all(e % p == 0 for e in terms):
+                    n, terms = n // p, {e // p: c for e, c in terms.items()}
+                    break
+            else:
+                orbits: dict = {}  # orbit base (local digit 0) -> coefficients
+                for e, c in terms.items():
+                    orbits.setdefault((e - e * inv % p * (n // p)) % n, []).append(c)
+                if all(cs.count(cs[0]) == p - 1 for cs in orbits.values()):
+                    n, terms = n // p, {e // p: -cs[0] for e, cs in orbits.items()}
+                    break
+        else:
+            return n, terms
 
 
 # ---------------------------------------------------------------------------
-
-def _is_int(x) -> bool:
-    """True for a plain integer; bool is an int subclass and is refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -91,30 +121,31 @@ def _as_cyclo(c) -> "Cyclo":
     return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
+# Bits beyond which to_complex refuses to work: the cost grows faster than
+# linearly in the precision, and the result is rounded to a double anyway.
+_MAX_PRECISION = 10_000
+
+
 class Cyclo:
     """A number in Q(zeta_order) on the root-of-unity basis.
 
     Immutable by convention; ``terms`` maps exponents in [0, order) to nonzero
-    rational coefficients.
+    rational coefficients.  Equal values may have different ``order`` and
+    ``terms``; ``==``, ``hash`` and ``to_json`` read the canonical form.
     """
 
-    __slots__ = ("order", "terms", "_reduced")
+    __slots__ = ("order", "terms", "_canon")
 
     def __init__(self, order: int, terms=None):
         if order < 1:
             raise ValueError("order must be positive")
         clean: dict = {}
         for e, c in (terms or {}).items():
-            c = _as_fraction(c)
-            if c:
-                e = int(e) % order
-                c0 = clean.get(e)
-                clean[e] = c if c0 is None else c0 + c
-                if not clean[e]:
-                    del clean[e]
+            e, c = int(e) % order, _as_fraction(c)
+            clean[e] = clean[e] + c if e in clean else c
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_reduced", None)
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Cyclo values are immutable")
@@ -127,7 +158,7 @@ class Cyclo:
         self = cls.__new__(cls)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_reduced", None)
+        object.__setattr__(self, "_canon", None)
         return self
 
     @classmethod
@@ -142,75 +173,53 @@ class Cyclo:
     def one(cls) -> "Cyclo":
         return cls.from_rational(1)
 
-    # -- representation management ------------------------------------------
+    # -- the canonical form ------------------------------------------------------
 
-    def lift(self, order: int) -> "Cyclo":
-        """Re-express in Q(zeta_order); order must be a multiple of self.order."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValueError(f"{order} is not a multiple of {self.order}")
-        k = order // self.order
-        return Cyclo._raw(order, {e * k: c for e, c in self.terms.items()})
-
-    def _pair(self, other):
-        other = _as_cyclo(other)  # raises TypeError if not rational
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
-
-    def reduced(self) -> tuple:
-        """Canonical coefficients modulo the cyclotomic polynomial (cached)."""
-        if self._reduced is None:
-            poly = [Fraction(0)] * self.order
-            for e, c in self.terms.items():
-                poly[e] = c
-            rem = _poly_rem(poly, cyclotomic_polynomial(self.order))
-            while rem and not rem[-1]:
-                rem.pop()
-            object.__setattr__(self, "_reduced", tuple(rem))
-        return self._reduced
-
-    def canonical(self) -> "Cyclo":
-        """The reduced representative on the power basis (exponents < phi(order))."""
-        return Cyclo._raw(self.order,
-                          {e: c for e, c in enumerate(self.reduced()) if c})
-
-    # -- predicates ----------------------------------------------------------
+    def _form(self) -> tuple:
+        """(conductor, terms on the Zumbroich basis), computed once."""
+        if self._canon is None:
+            object.__setattr__(self, "_canon", _normal(self.order, self.terms))
+        return self._canon
 
     def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        if len(self.terms) == 1:
-            return False  # a single monomial c*zeta^e with c != 0
-        return not self.reduced()
+        if len(self.terms) < 2:
+            return not self.terms  # a nonzero multiple of one root of unity is nonzero
+        return not self._form()[1]
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        red = self.reduced()
-        if not red:
-            return Fraction(0)
-        if len(red) == 1:
-            return red[0]
-        return None
+        n, terms = self._form()
+        return terms.get(0, Fraction(0)) if n == 1 else None
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _pair(self, other):
+        """(n, terms of self, terms of other) in Q(zeta_n), n the lcm of the orders.
+
+        An operand whose canonical form is known and shorter than its raw
+        terms enters on the canonical form."""
+        other = _as_cyclo(other)  # raises TypeError if not rational
+        (m, a), (k, b) = [x._canon if x._canon and len(x._canon[1]) < len(x.terms)
+                          else (x.order, x.terms) for x in (self, other)]
+        if m == k:
+            return m, a, b
+        n = math.lcm(m, k)
+        return (n, {e * (n // m): c for e, c in a.items()} if m < n else a,
+                {e * (n // k): c for e, c in b.items()} if k < n else b)
+
     def __add__(self, other):
         try:
-            a, b = self._pair(other)
+            n, terms, b = self._pair(other)
         except TypeError:
             return NotImplemented
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+        terms = dict(terms)
+        for e, c in b.items():
+            s = terms[e] + c if e in terms else c
+            if s:
+                terms[e] = s
             else:
-                terms[e] = c
-        return Cyclo._raw(a.order, terms)
+                del terms[e]
+        return Cyclo._raw(n, terms)
 
     __radd__ = __add__
 
@@ -218,10 +227,8 @@ class Cyclo:
         return Cyclo._raw(self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Cyclo):
-            return self + (-other)
         try:
-            return self + (-_as_fraction(other))
+            return self + -_as_cyclo(other)
         except TypeError:
             return NotImplemented
 
@@ -237,20 +244,16 @@ class Cyclo:
             if not c:
                 return Cyclo._raw(self.order, {})
             return Cyclo._raw(self.order, {e: v * c for e, v in self.terms.items()})
-        a, b = self._pair(other)
-        n = a.order
+        n, a, b = self._pair(other)
         terms: dict = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = (e1 + e2) % n
-                if e in terms:
-                    s = terms[e] + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
+                s = terms[e] + c1 * c2 if e in terms else c1 * c2
+                if s:
+                    terms[e] = s
                 else:
-                    terms[e] = c1 * c2
+                    del terms[e]
         return Cyclo._raw(n, terms)
 
     __rmul__ = __mul__
@@ -261,21 +264,21 @@ class Cyclo:
                           {(-e) % self.order: c for e, c in self.terms.items()})
 
     def inverse(self) -> "Cyclo":
-        """1/x: the product of the conjugates zeta^e -> zeta^(a*e), 1 < a < order
-        coprime to the order, divided by the rational norm."""
+        """1/x: the product of the conjugates zeta^e -> zeta^(a*e), 1 < a < N
+        coprime to N, divided by the rational norm.  x is taken on the raw or
+        the canonical terms, whichever are fewer, at their order N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        n = self.order
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            return Cyclo(n, {(-e) % n: 1 / c})
-        x = self.canonical().terms
-        others = Cyclo._raw(n, {0: Fraction(1)})
+        n, x = min((self.order, self.terms), self._form(), key=lambda f: len(f[1]))
+        if len(x) == 1:
+            (e, c), = x.items()
+            return Cyclo._raw(n, {(-e) % n: 1 / c})
+        others = Cyclo.one()
         for a in range(2, n):
             if math.gcd(a, n) == 1:
-                conj = Cyclo._raw(n, {a * e % n: c for e, c in x.items()})
-                others = (others * conj).canonical()
-        return (others * (1 / (self * others).as_rational())).canonical()
+                p = others * Cyclo._raw(n, {a * e % n: c for e, c in x.items()})
+                others = Cyclo._raw(*_normal(p.order, p.terms))
+        return others * (1 / (self * others).as_rational())
 
     def __truediv__(self, other):
         return self * _as_cyclo(other).inverse()
@@ -286,8 +289,10 @@ class Cyclo:
         """Floating point value; error is about (#terms * max|coeff|) * 2^(1-precision).
 
         Precisions beyond 53 bits use mpmath internally and round the result
-        back to a double.
+        back to a double; more than _MAX_PRECISION bits are refused.
         """
+        if precision > _MAX_PRECISION:
+            raise ValueError(f"precision above {_MAX_PRECISION} bits")
         if precision <= 53:
             re = im = 0.0
             for e, c in self.terms.items():
@@ -314,18 +319,18 @@ class Cyclo:
             other = Cyclo.from_rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        if self.order == other.order:
-            if self.terms == other.terms:
-                return True
-            return self.reduced() == other.reduced()
-        a, b = self._pair(other)
-        return a.reduced() == b.reduced()
+        if self.order == other.order and self.terms == other.terms:
+            return True  # the same raw terms: no need for the canonical form
+        return self._form() == other._form()
 
-    __hash__ = None
+    def __hash__(self):
+        n, terms = self._form()
+        return hash(terms.get(0, 0)) if n == 1 else hash((n, frozenset(terms.items())))
 
     def to_json(self) -> dict:
-        return {"order": self.order,
-                "terms": [[e, str(c)] for e, c in sorted(self.terms.items())]}
+        """The canonical form: {"order": conductor, "terms": [[e, "p/q"], ...]}."""
+        n, terms = self._form()
+        return {"order": n, "terms": [[e, str(c)] for e, c in sorted(terms.items())]}
 
     @classmethod
     def from_json(cls, obj) -> "Cyclo":

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bd_algebra import BDElement, LaurentPoly
-from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn, character
-from .supernatural import SupernaturalNumber
+from .supernatural import SupernaturalNumber, _is_int
 
 
 def _commutator(x: BDElement, b: BDElement) -> BDElement:
@@ -101,18 +101,14 @@ def solve_cocycle(ft: LocConstFn) -> LocConstFn:
 
     G(j) = ft(0) + ... + ft(j-1), minus its mean.  A nonzero mean of ft is the
     obstruction (G would not be periodic), which must be split off first.
-    The values are given canonically in Q(zeta_L), L the lcm of the period
-    and the orders of ft's values.
+    The values are exact sums of ft's values; their JSON form is canonical.
     """
     if not ft.haar_integral().is_zero():
         raise ValueError("nonzero mean: split off the constant part first")
     l = ft.period
-    if ft.is_zero():
-        return LocConstFn.zero(l)
-    order = math.lcm(l, *(v.order for v in ft.values))
     partial = list(itertools.accumulate(ft.values[:-1], initial=Cyclo.zero()))
     mean = sum(partial, Cyclo.zero()) * Fraction(1, l)
-    return LocConstFn([(g - mean).lift(order) for g in partial]).canonical()
+    return LocConstFn([g - mean for g in partial])
 
 
 def decompose_invariant(f: LocConstFn):
@@ -142,7 +138,7 @@ def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocCon
     chi_inv = BDElement.mult_op(S, character(l, k).conj())
     extracted = (BDElement.shift(S, -n) * delta_of_chi * chi_inv).fourier_coefficient(0)
     inverse = Cyclo(l, {j * n * k: Fraction(-j, l) for j in range(1, l)})
-    return extracted.scale(inverse).canonical()
+    return extracted.scale(inverse)
 
 
 class CharacterPick(tuple):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import _is_int
+from .supernatural import _is_int
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return IntMatrix.from_rows(
-            [[sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-              for j in range(other.cols)] for i in range(self.rows)])
+        return IntMatrix(self.rows, other.cols, tuple(
+            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
+                  for j in range(other.cols)) for i in range(self.rows)))
 
     def diagonal(self) -> list:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bd_algebra import BDElement
-from .cyclotomic import _is_int
 from .odometer_fn import LocConstFn
 from .profinite import DivisorChain, ProfiniteInt
-from .supernatural import SupernaturalNumber
+from .supernatural import SupernaturalNumber, _is_int
 
 
 @dataclass(frozen=True)
@@ -165,20 +164,20 @@ class PhiFn:
         mode="lin": the linear form sum_{j=0}^{l'-2} (j+1) phi(l', j), defined
         for l = 1 only.  The two disagree by a sign mod l':
         R(1,l',lin) = -R(1,l',def) (mod l').
+
+        Both are read off the top vector in closed form: top[k] lies in the
+        class j = k mod l' and is counted once for each a with al > j, that is
+        l'/l - 1 - floor(j/l) times (def), or j + 1 times unless j = l' - 1 (lin).
         """
         top_level = self.chain.top
         if lp < 1 or top_level % lp != 0 or lp % l != 0:
             raise ValueError(f"need l | l' | top, got l={l}, l'={lp}, top={top_level}")
         if mode == "def":
-            vals = [self.value(lp, j) for j in range(lp)]
-            prefix = [0]
-            for v in vals:
-                prefix.append(prefix[-1] + v)
-            return sum(prefix[a * l] for a in range(1, lp // l))
+            return sum(t * (lp // l - 1 - k % lp // l) for k, t in enumerate(self.top))
         if mode == "lin":
             if l != 1:
                 raise ValueError("mode 'lin' is defined for l = 1 only")
-            return sum((j + 1) * self.value(lp, j) for j in range(lp - 1))
+            return sum(t * (k % lp + 1) for k, t in enumerate(self.top) if k % lp != lp - 1)
         raise ValueError(f"unknown mode {mode!r}")
 
     def tau(self) -> int:

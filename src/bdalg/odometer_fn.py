@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, _as_cyclo, _is_int, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .profinite import ProfiniteInt
+from .supernatural import _is_int
 
 
 class LocConstFn:
@@ -83,10 +84,7 @@ class LocConstFn:
 
     def haar_integral(self) -> Cyclo:
         """The translation invariant mean: the average over one period."""
-        total = Cyclo.zero()
-        for v in self.values:
-            total = total + v
-        return (total * Fraction(1, self.period)).canonical()
+        return sum(self.values, Cyclo.zero()) * Fraction(1, self.period)
 
     def char_coefficients(self) -> dict:
         """Exact character coefficients c_k with f = sum_k c_k * character(l, k).
@@ -97,10 +95,8 @@ class LocConstFn:
         l = self.period
         out = {}
         for k in range(l):
-            c = Cyclo.zero()
-            for j, v in enumerate(self.values):
-                c = c + v * root_of_unity(-j * k, l)
-            c = (c * Fraction(1, l)).canonical()
+            c = sum((v * root_of_unity(-j * k, l) for j, v in enumerate(self.values)),
+                    Cyclo.zero()) * Fraction(1, l)
             if not c.is_zero():
                 out[k] = c
         return out
@@ -118,10 +114,7 @@ class LocConstFn:
         return LocConstFn([x + y for x, y in zip(a.values, b.values)])
 
     def __sub__(self, other):
-        if not isinstance(other, LocConstFn):
-            other = LocConstFn.constant(other)
-        a, b = self._pair(other)
-        return LocConstFn([x - y for x, y in zip(a.values, b.values)])
+        return self + (-other)
 
     def __neg__(self):
         return LocConstFn([-v for v in self.values])
@@ -143,10 +136,6 @@ class LocConstFn:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
-
-    def canonical(self) -> "LocConstFn":
-        """Same function with every value reduced to its canonical representative."""
-        return LocConstFn([v.canonical() for v in self.values])
 
     def __eq__(self, other):
         if not isinstance(other, LocConstFn):

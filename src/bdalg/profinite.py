@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import _is_int
-from .supernatural import SupernaturalNumber
+from .supernatural import SupernaturalNumber, _is_int
 
 
 @dataclass(frozen=True)

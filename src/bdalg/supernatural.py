@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import _is_int
-
 INF = math.inf
+
+
+def _is_int(x) -> bool:
+    """True for a plain integer; bool is an int subclass and is refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

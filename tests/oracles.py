@@ -8,15 +8,40 @@ so products and adjoints can be checked entry by entry against operator
 composition on a window of basis vectors, without going through the algebra's
 own multiplication.
 
+Cyclotomic values are compared by reducing their difference modulo the
+cyclotomic polynomial Phi_N, N the lcm of the orders, independently of the
+canonical form that Cyclo itself uses.
+
 The Smith form's diagonal is pinned by the determinantal divisors: d_k is
 Delta_k / Delta_{k-1}, where Delta_k is the gcd of all k x k minors.
+
+The running sums R(l, l') of a phi function are pinned by their defining
+double sums over the values phi(l', j).
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
-from bdalg import BDElement, Cyclo
+from bdalg import BDElement, Cyclo, cyclotomic_polynomial
+
+
+def cyclo_equal(x: Cyclo, y: Cyclo) -> bool:
+    """x == y, decided by reducing x - y modulo Phi_N in Q[X]."""
+    n = math.lcm(x.order, y.order)
+    poly = [Fraction(0)] * n
+    for v, sign in ((x, 1), (y, -1)):
+        for e, c in v.terms.items():
+            poly[e * (n // v.order)] += sign * c
+    mod = cyclotomic_polynomial(n)
+    deg = len(mod) - 1
+    for i in range(n - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            for j, m in enumerate(mod):
+                poly[i - deg + j] -= c * m
+    return not any(poly)
 
 
 def apply_to_basis(a: BDElement, k: int) -> dict:
@@ -70,3 +95,11 @@ def determinantal_divisors(rows: list) -> list:
                 g = math.gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
         out.append(g)
     return out
+
+
+def r_sum(phi, l: int, lp: int, mode: str = "def") -> int:
+    """R(l, l') from its definition: sum_{a=1}^{l'/l-1} sum_{j<al} phi(l', j)
+    for mode "def", sum_{j<l'-1} (j+1) phi(l', j) for mode "lin" (l = 1)."""
+    if mode == "def":
+        return sum(phi.value(lp, j) for a in range(1, lp // l) for j in range(a * l))
+    return sum((j + 1) * phi.value(lp, j) for j in range(lp - 1))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bdalg.cli import VERBS, main
+from bdalg.cli import VERBS, _dumps, main
 from bdalg.homalg import IntMatrix
 
 
@@ -180,7 +180,7 @@ def test_bd_mul_dispatch(capsys):
     assert code == 0
     assert set(doc["coeffs"]) == {"2"}
     values = doc["coeffs"]["2"]["values"]
-    assert all(v == {"order": 2, "terms": [[1, "1"]]} for v in values)  # -1
+    assert all(v == {"order": 1, "terms": [[0, "-1"]]} for v in values)  # -1
 
 
 def test_chain_and_gcd(capsys):
@@ -235,7 +235,7 @@ def test_byte_identical_output(capsys):
     _, out2 = run(capsys, *args)
     assert out1 == out2
     doc = json.loads(out1)
-    assert doc == {"coefficients": {"1": {"order": 2, "terms": [[0, "1"]]}}}
+    assert doc == {"coefficients": {"1": {"order": 1, "terms": [[0, "1"]]}}}
 
 
 def test_json_file_input(tmp_path, capsys):
@@ -385,3 +385,25 @@ def test_cli_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_dumps_prints_integers_beyond_the_digit_limit():
+    assert _dumps({"d": 10 ** 4999}, "compact") == '{"d":1' + "0" * 4999 + "}"
+    assert _dumps([10 ** 4999], "pretty") == "[\n  1" + "0" * 4999 + "\n]"
+
+
+def test_hom_snf_prints_a_long_diagonal(capsys):
+    # diag(10^2500 + 1, 10^2500) has the Smith form diag(1, 10^5000 + 10^2500)
+    a = "1" + "0" * 2499 + "1"
+    b = "1" + "0" * 2500
+    code, out = run(capsys, "hom", "snf", "--matrix",
+                    '{"rows":2,"cols":2,"entries":[' + a + ",0,0," + b + "]}")
+    assert code == 0
+    assert '"D":{"cols":2,"entries":[1,0,0,1' + "0" * 2499 + "1" + "0" * 2500 + "]" in out
+
+
+def test_long_integer_input_still_exits_1(capsys):
+    code, out = run(capsys, "hom", "snf", "--matrix",
+                    '{"rows":1,"cols":1,"entries":[1' + "0" * 4999 + "]}")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"

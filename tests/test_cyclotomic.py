@@ -1,11 +1,16 @@
+import json
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdalg import Cyclo, cyclotomic_polynomial, root_of_unity
+from oracles import cyclo_equal
 
 
 def test_cyclotomic_polynomials():
@@ -115,7 +120,7 @@ def test_inverse():
               Cyclo(2, {0: 1, 1: 3}), root_of_unity(1, 3) + root_of_unity(2, 3),
               Cyclo(9, {e: Fraction(e * e - 7, e + 1) for e in range(9)})):
         assert v * v.inverse() == 1
-        assert v.inverse().order == v.order
+        assert v.inverse().to_json()["order"] == v.to_json()["order"]
     with pytest.raises(ZeroDivisionError):
         Cyclo.zero().inverse()
 
@@ -130,7 +135,7 @@ def test_as_rational():
 def test_serialization():
     a = Cyclo(8, {1: Fraction(1, 2), 5: Fraction(-3)})
     obj = a.to_json()
-    assert obj == {"order": 8, "terms": [[1, "1/2"], [5, "-3"]]}
+    assert obj == {"order": 8, "terms": [[1, "7/2"]]}  # zeta_8^5 = -zeta_8
     assert Cyclo.from_json(obj) == a
     with pytest.raises(ValueError):
         Cyclo.from_json({"order": 8})
@@ -149,6 +154,100 @@ def test_from_json_rejects_inexact_scalars():
                 {"order": 4, "terms": {"1": "1"}}):
         with pytest.raises(ValueError):
             Cyclo.from_json(bad)
+
+
+def _rand_cyclo(rng, order):
+    return Cyclo(order, {rng.randrange(order): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 4))})
+
+
+def _rewritten(rng, x, order):
+    """x at the lcm of its order and `order`, plus random multiples of the
+    vanishing sums sum_{b<p} zeta_n^(e + b*n/p)."""
+    n = math.lcm(x.order, order)
+    y = Cyclo(n, {e * (n // x.order): c for e, c in x.terms.items()})
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0 and rng.random() < 0.7:
+            e, c = rng.randrange(n), rng.randint(-2, 2)
+            y = y + Cyclo(n, {e + b * n // p: c for b in range(p)})
+    return y
+
+
+def _hash_alike(doc):
+    """The JSON form with -1 read as -2: CPython hashes the two alike."""
+    return doc["order"], [[e, "-2" if c == "-1" else c] for e, c in doc["terms"]]
+
+
+@pytest.mark.parametrize("top", [72, 5, 7, 11, 13])
+def test_canonical_form_matches_phi_oracle(top):
+    # x == y, the Phi_N oracle and equal JSON agree; hashes agree too, except
+    # that hash(-1) == hash(-2) carries over from the rationals
+    rng = random.Random(top)
+    orders = [d for d in range(1, top + 1) if top % d == 0]
+    equal = 0
+    for _ in range(300):
+        x = _rand_cyclo(rng, rng.choice(orders))
+        y = _rewritten(rng, x, rng.choice(orders))
+        if rng.random() < 0.5:
+            y = y + _rand_cyclo(rng, rng.choice(orders))
+        want = cyclo_equal(x, y)
+        assert (x == y) is want
+        assert (x.to_json() == y.to_json()) is want
+        assert (hash(x) == hash(y)) is (_hash_alike(x.to_json()) == _hash_alike(y.to_json()))
+        equal += want
+    assert 100 < equal < 250
+
+
+def test_canonical_form_is_at_the_conductor():
+    assert (root_of_unity(2, 4) + 1).to_json() == {"order": 1, "terms": []}
+    assert root_of_unity(2, 6).to_json() == root_of_unity(1, 3).to_json() == \
+        {"order": 3, "terms": [[1, "1"]]}
+    assert root_of_unity(1, 6).to_json() == {"order": 3, "terms": [[2, "-1"]]}
+    assert root_of_unity(3, 12).to_json() == {"order": 4, "terms": [[1, "1"]]}
+    # on Q(zeta_5) the basis is zeta^1..zeta^4, so 1 = -(zeta + ... + zeta^4)
+    assert (root_of_unity(0, 5) * 3 + root_of_unity(1, 5)).to_json() == \
+        {"order": 5, "terms": [[1, "-2"], [2, "-3"], [3, "-3"], [4, "-3"]]}
+    assert Cyclo(15, {0: 1, 5: 1, 10: 1}).to_json() == {"order": 1, "terms": []}
+
+
+@pytest.mark.parametrize("q", [0, 1, -7, 10 ** 30, Fraction(3, 4), Fraction(-22, 7)])
+def test_hash_agrees_with_rationals(q):
+    assert hash(Cyclo.from_rational(q)) == hash(q)
+    assert hash(Cyclo(6, {0: q, 2: 1, 4: 1}) + 1) == hash(q)  # 1 + zeta_3 + zeta_3^2 = 0
+    assert {Cyclo.from_rational(q): "x"}[q] == "x"
+
+
+def _cli(*argv, timeout=20):
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bdalg", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.perf_counter() - t0
+
+
+def test_cli_add_prints_zero_canonically():
+    proc, _ = _cli("cyc", "add", "--a", '{"order":4,"terms":[[2,"1"]]}',
+                   "--b", '{"order":1,"terms":[[0,"1"]]}')
+    assert proc.returncode == 0
+    assert proc.stdout == '{"order":1,"terms":[]}\n'
+
+
+def test_cli_iszero_at_large_order_is_fast():
+    # 1 + zeta^(N/2) = 0 at N = 10^6; no cyclotomic polynomial of degree 4*10^5
+    proc, elapsed = _cli("cyc", "iszero", "--a",
+                         '{"order":1000000,"terms":[[0,"1"],[500000,"1"]]}')
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"is_zero": True}
+    assert elapsed < 2
+
+
+def test_eval_refuses_huge_precision():
+    with pytest.raises(ValueError):
+        root_of_unity(1, 72).to_complex(precision=10 ** 6)
+    a = '{"order":72,"terms":[[1,"1"],[5,"1/3"],[7,"-2"]]}'
+    proc, elapsed = _cli("cyc", "eval", "--a", a, "--precision", "3000000")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+    assert elapsed < 20
 
 
 def test_doctests():

@@ -170,6 +170,20 @@ def test_ext_stable_under_unimodular_changes():
         assert ext1_hom(P * A * Q) == ext1_hom(A)
 
 
+def test_product_keeps_declared_shape():
+    prod = IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2)
+    assert (prod.rows, prod.cols) == (0, 2)
+    assert IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (0, 1)])
+def test_snf_of_empty_shapes(rows, cols):
+    A = IntMatrix.zeros(rows, cols)
+    U, D, V = smith_normal_form(A)
+    assert (D.rows, D.cols) == (rows, cols)
+    assert U * A * V == D
+
+
 def test_determinant():
     assert IntMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8
     assert IntMatrix.identity(4).determinant() == 1

@@ -7,6 +7,7 @@ import pytest
 from bdalg import (BDElement, DivisorChain, GSRational, INF, PhiFn,
                    SupernaturalNumber, hom_obstruction, k0_class,
                    residue_projection)
+from oracles import r_sum as r_sum_oracle
 
 S = SupernaturalNumber.of({2: INF, 3: INF, 5: INF, 7: INF, 11: INF})
 CH24 = DivisorChain.of([2, 4])
@@ -106,6 +107,20 @@ def test_r_sum_values():
     assert (PHI.r_sum(1, 4, "lin") + PHI.r_sum(1, 4, "def")) % 4 == 0
     assert PHI.r_sum(2, 2) == 0
     assert PHI.r_sum(4, 4) == 0
+
+
+@pytest.mark.parametrize("levels", [[2, 4, 8, 16], [2, 6, 12], [3, 9, 27], [2, 12, 72]])
+def test_r_sum_closed_forms_match_double_sums(levels):
+    rng = random.Random(sum(levels))
+    chain = DivisorChain.of(levels)
+    divisors = [d for d in range(1, chain.top + 1) if chain.top % d == 0]
+    for _ in range(8):
+        phi = PhiFn(chain, [rng.randint(-9, 9) for _ in range(chain.top)])
+        for lp in divisors:
+            assert phi.r_sum(1, lp, "lin") == r_sum_oracle(phi, 1, lp, "lin")
+            for l in divisors:
+                if lp % l == 0:
+                    assert phi.r_sum(l, lp) == r_sum_oracle(phi, l, lp)
 
 
 def test_r_sum_errors():
