@@ -12,8 +12,8 @@ coefficients, which is also the size of its matrix symbol.
 Norms and spectra are evaluated straight from the coefficients: U^n M_f has
 the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
 sampled symbol is assembled from the complex values f_n(i) without forming
-the exact symbol.  The exact MatrixSymbol serves only ``bd symbol`` and the
-*-homomorphism tests.
+the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
+exact MatrixSymbol serves only ``bd symbol`` and the *-homomorphism tests.
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window; only the diagonal case is exact.  Internally the estimates are carried
@@ -407,10 +407,22 @@ def _max_power(a: BDElement) -> int:
                 for i, v in enumerate(f.values) if not v.is_zero()), default=0)
 
 
-# Grid points per block: one (block, l, l) buffer of about a mebibyte is
+# Grid points per block: one (block, g, s, s) buffer of about a mebibyte is
 # assembled and decomposed at a time.  A whole (grid, l, l) array is 9 MiB at
 # l = 48 and raises peak memory by as much again once the heap fragments.
 _BLOCK_BYTES = 1 << 20
+
+# Limits on the sampling work, checked before anything is sampled: the norm
+# level m, and (m + 1) * grid points * l^2, the size of the l x l symbols the
+# levels would fill without the coset split.
+_MAX_LEVEL = 64
+_MAX_SAMPLES = 1 << 26
+
+
+def _check_samples(levels: int, points: int, l: int):
+    if levels * points * l * l > _MAX_SAMPLES:
+        raise ValueError(f"sampling {levels} level(s) at {points} grid points of the "
+                         f"{l} x {l} symbol exceeds {_MAX_SAMPLES} entries")
 
 
 def _numpy():
@@ -431,23 +443,42 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _cosets(a: BDElement) -> tuple:
+    """(g, n0): n0 the smallest label (0 without labels) and g the gcd of the
+    period l with every difference n - n0.
+
+    Every label is n0 mod g, so the symbol maps the columns i = c (mod g) into
+    the rows c + n0 (mod g): it is a permutation of g blocks of size l/g.
+    """
+    labels = sorted(a.coeffs)
+    n0 = labels[0] if labels else 0
+    return math.gcd(a.period, *(n - n0 for n in labels)), n0
+
+
 def _symbol_blocks(a: BDElement, grid: int, levels: int):
     """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, j < levels, at
     the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
 
-    J^n M_f has the entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i,
-    so label n contributes f_n(i) z_k^floor((i+n)/l) at the rows (i+n) mod l;
-    labels congruent mod l land on the same entries and are summed.  A block's
-    per-label samples are computed once for all levels.  Yields (j, block)
+    J^n M_f has the entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i;
+    labels congruent mod l land on the same entries and are summed.  With
+    (g, n0) from _cosets and s = l/g, only the columns i = c (mod g) reach the
+    rows c + n0 (mod g), so the symbol is stored as its g blocks of size s:
+    block c holds the entry of row r, column i = c (mod g) at (r // g, i // g).
+    A block of grid points is a (points, g, s, s) array, assembled in place.
+    Its per-label samples are computed once for all levels.  Yields (j, block)
     with one reused buffer, so each block must be used before the next step.
     """
     np = _numpy()
     l = a.period
+    g = _cosets(a)[0]
+    s = l // g
     cols = np.arange(l)
     values = [(n, np.array([v.to_complex() for v in f.values], dtype=complex))
               for n, f in sorted(a.coeffs.items())]
-    step = max(1, _BLOCK_BYTES // (16 * l * l))
-    buf = np.zeros((min(step, grid), l, l), dtype=complex)
+    cb, cc = cols % g, cols // g
+    rows = {n % l: (cols + n) % l // g for n in a.coeffs}
+    step = max(1, _BLOCK_BYTES // (16 * l * s))
+    buf = np.zeros((min(step, grid), g, s, s), dtype=complex)
     for k0 in range(0, grid, step):
         z = np.exp(2j * np.pi * np.arange(k0, min(k0 + step, grid)) / grid)
         classes: dict = {}
@@ -456,7 +487,7 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int):
         block = buf[:len(z)]
         for j in range(levels):
             for r, parts in classes.items():
-                block[:, (cols + r) % l, cols] = sum(n ** j * smp for n, smp in parts)
+                block[:, cb, rows[r], cc] = sum(n ** j * smp for n, smp in parts)
             yield j, block
 
 
@@ -466,17 +497,24 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
     the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
     is the largest singular value of its symbol maximized over
-    max(grid, 2 * max power + 1) circle points; the levels only reweight the
-    same sampled coefficients, which are evaluated once.
+    max(grid, 2 * max power + 1) circle points: the largest over the symbol's
+    blocks, or their largest modulus when they are 1 x 1.  The levels only
+    reweight the same sampled coefficients, which are evaluated once.
     """
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
         return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
-    np = _numpy()
     eff = max(grid, 2 * _max_power(a) + 1)
+    _check_samples(m + 1, eff, a.period)
+    np = _numpy()
     top = [0.0] * (m + 1)
     for j, block in _symbol_blocks(a, eff, m + 1):
-        top[j] = max(top[j], float(np.linalg.svd(block, compute_uv=False).max()))
+        s = block.shape[-1]
+        if s == 1:
+            sv = np.abs(block)
+        else:  # LAPACK sees a plain stack of s x s matrices
+            sv = np.linalg.svd(block.reshape(-1, s, s), compute_uv=False)
+        top[j] = max(top[j], float(sv.max()))
     return [(Fraction(t), "grid-estimate", eff) for t in top]
 
 
@@ -486,15 +524,22 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
 
     The base norms |delta^j(a)|, j = 0..m, are sampled straight from the
     coefficients of a: delta^j only reweights label n by n^j, so the sampled
-    coefficients are shared by all levels and no delta^j(a) is built.
+    coefficients are shared by all levels and no delta^j(a) is built.  Each
+    symbol is sampled as the g blocks of size l/g that its labels allow (see
+    _symbol_blocks), and its norm is the largest of the blocks' norms.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit.
+
+    Levels m above _MAX_LEVEL, and sampling work (m + 1) * eff * l^2 above
+    _MAX_SAMPLES, are refused with ValueError before anything is sampled.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if m < 0:
         raise ValueError("norm level must be nonnegative")
+    if m > _MAX_LEVEL:
+        raise ValueError(f"norm level above {_MAX_LEVEL}")
     if method not in ("binomial", "recursive"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -529,13 +574,45 @@ def spectrum_sample(a: BDElement, grid: int = 256) -> list:
     """Eigenvalues of the symbol, sampled straight from the coefficients at the
     `grid` equispaced points of the circle, grid point by grid point.
 
+    The symbol is sampled as its g blocks B_c of size s = l/g (see
+    _symbol_blocks), and block c maps coset c to coset c + n0 (mod g).  Under
+    c -> c + n0 the blocks form h = gcd(g, n0) cycles of length k = g/h, and
+    the symbol restricted to one cycle c_0, ..., c_(k-1) is block-cyclic: its
+    eigenvalues are the k k-th roots of each eigenvalue of the product
+    B_(c_(k-1)) ... B_(c_0).  Each factor is divided by its largest modulus
+    before the product, and the k-th root of the product of those scales is
+    put back factor by factor, so no product overflows.  The l eigenvalues of
+    a grid point come out cycle by cycle; grid * l * l above _MAX_SAMPLES is
+    refused with ValueError.
+
     For normal elements this samples the spectrum; the output is a plain
     sample, not a certified enclosure.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
+    _check_samples(1, grid, a.period)
     np = _numpy()
+    g, n0 = _cosets(a)
+    s = a.period // g
+    h = math.gcd(g, n0)
+    k = g // h
+    cycles = [(np.arange(h) + j * n0) % g for j in range(k)]
+    turns = np.exp(2j * np.pi * np.arange(k) / k)[:, None]
     points = []
     for _, block in _symbol_blocks(a, grid, 1):
-        points.extend(complex(w) for w in np.linalg.eigvals(block).reshape(-1))
+        scale = np.abs(block).max(axis=(2, 3))
+        scale[scale == 0] = 1
+        unit = block / scale[:, :, None, None]
+        prod = unit[:, cycles[0]]
+        for c in cycles[1:]:
+            prod = unit[:, c] @ prod
+        if s == 1:
+            mu = prod[..., 0]
+        else:  # LAPACK sees a plain stack of s x s matrices
+            mu = np.linalg.eigvals(prod.reshape(-1, s, s)).reshape(prod.shape[:-1])
+        if k > 1:
+            mu = np.abs(mu) ** (1 / k) * np.exp(1j * np.angle(mu) / k)
+        back = np.prod([scale[:, c] ** (1 / k) for c in cycles], axis=0)
+        ev = mu[:, :, None, :] * turns * back[:, :, None, None]
+        points.extend(ev.reshape(-1).tolist())
     return points

@@ -125,6 +125,11 @@ def _as_cyclo(c) -> "Cyclo":
 # linearly in the precision, and the result is rounded to a double anyway.
 _MAX_PRECISION = 10_000
 
+# Orders beyond which Cyclo refuses to work: the canonical form factors the
+# order by trial division, and the rational 1 alone takes p - 1 terms on the
+# basis at a prime order p.
+_MAX_ORDER = 10 ** 6
+
 
 class Cyclo:
     """A number in Q(zeta_order) on the root-of-unity basis.
@@ -132,6 +137,8 @@ class Cyclo:
     Immutable by convention; ``terms`` maps exponents in [0, order) to nonzero
     rational coefficients.  Equal values may have different ``order`` and
     ``terms``; ``==``, ``hash`` and ``to_json`` read the canonical form.
+    Orders above _MAX_ORDER, given or reached as the lcm of two orders, are
+    refused with ValueError.
     """
 
     __slots__ = ("order", "terms", "_canon")
@@ -139,6 +146,8 @@ class Cyclo:
     def __init__(self, order: int, terms=None):
         if order < 1:
             raise ValueError("order must be positive")
+        if order > _MAX_ORDER:
+            raise ValueError(f"order above {_MAX_ORDER}")
         clean: dict = {}
         for e, c in (terms or {}).items():
             e, c = int(e) % order, _as_fraction(c)
@@ -204,6 +213,8 @@ class Cyclo:
         if m == k:
             return m, a, b
         n = math.lcm(m, k)
+        if n > _MAX_ORDER:
+            raise ValueError(f"order above {_MAX_ORDER}")
         return (n, {e * (n // m): c for e, c in a.items()} if m < n else a,
                 {e * (n // k): c for e, c in b.items()} if k < n else b)
 

@@ -194,8 +194,10 @@ def test_norm_u_plus_uinv():
 
 def test_sampling_uses_module_numpy(monkeypatch):
     # numpy loads on first use and is read from bd_algebra.np, so a wrapper
-    # assigned there sees every linear-algebra call
+    # assigned there sees every linear-algebra call; labels {0, 1} at period 2
+    # leave one 2 x 2 block, which reaches LAPACK (1 x 1 blocks do not)
     calls = []
+    a = BDElement(S, {0: CHI2, 1: LocConstFn.constant(1)})
 
     class Linalg:
         def __getattr__(self, name):
@@ -209,9 +211,34 @@ def test_sampling_uses_module_numpy(monkeypatch):
             return getattr(np, name)
 
     monkeypatch.setattr(bd_algebra, "np", Numpy())
-    operator_norm(U + U.adjoint(), grid=16)
-    spectrum_sample(U, grid=16)
+    operator_norm(a, grid=16)
+    spectrum_sample(a, grid=16)
     assert calls == ["svd", "eigvals"]
+
+
+def test_linalg_sees_stacks_of_blocks(monkeypatch):
+    # svd and eigvals get (matrices, s, s) stacks of the l/g-sized blocks, the
+    # shape a wrapper around bd_algebra.np.linalg (the benchmark tracer) reads
+    shapes = []
+
+    class Linalg:
+        def __getattr__(self, name):
+            def call(x, *args, **kw):
+                shapes.append((name, x.shape))
+                return getattr(np.linalg, name)(x, *args, **kw)
+            return call
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(bd_algebra, "np", Numpy())
+    a = BDElement(S, {1: character(8, 1), 5: LocConstFn([2, 0, -1, 3, 1, 1, 2, 4])})
+    operator_norm(a, grid=16)
+    spectrum_sample(a, grid=16)
+    assert shapes == [("svd", (16 * 4, 2, 2)), ("eigvals", (16, 2, 2))]
 
 
 def test_norm_u_powers_of_two():
@@ -287,6 +314,15 @@ NUMERIC_CASES = [
     BDElement(S, {41: LocConstFn([1, 0]), -1: CHI2}),
     # the effective grid exceeds the requested one: 2 * 40 + 1 > 16
     BDElement.shift(S, 40) + BDElement.shift(S, -3),
+    # the coset layouts of the symbol's blocks, l = 8 unless said otherwise:
+    # block-diagonal (g = 4, n0 = 0)
+    BDElement(S, {0: LocConstFn([1, -2, 3, Fraction(1, 2), 0, 5, -1, 2]), 4: character(8, 3)}),
+    # one cycle of four 2 x 2 blocks (g = 4, n0 = 1)
+    BDElement(S, {1: character(8, 1), 5: LocConstFn([2, 0, -1, 3, 1, 1, Fraction(-3, 2), 4])}),
+    # two cycles of length 2 (g = 4, n0 = 2)
+    BDElement(S, {2: LocConstFn([1, 2, 3, 4, 5, 6, 7, 8]), 6: character(8, 5)}),
+    # one label at l = 6: three cycles of two 1 x 1 blocks (g = 6, n0 = 3)
+    BDElement(S, {3: LocConstFn([1, -2, root_of_unity(1, 3), 4, Fraction(1, 3), -1])}),
     # exact short-circuits
     BDElement.zero(S),
     BDElement(S, {}, period=4),
@@ -315,9 +351,53 @@ def test_numeric_path_matches_exact_symbol(a, block_bytes, monkeypatch):
             assert np.allclose(np.poly(g), np.poly(w), rtol=0, atol=1e-12 * scale)
 
 
+def _big(l: int, scale: int, k: int = 1) -> LocConstFn:
+    return LocConstFn([root_of_unity(k * i, 12) * (scale + 3 * i) for i in range(l)])
+
+
+@pytest.mark.parametrize("a", [
+    BDElement(S, {-1: _big(24, 1), 3: character(24, 5)}),
+    BDElement(S, {-2: _big(48, 2), 2: character(48, 7), 6: _big(48, 5, 5)}),
+    BDElement(S, {-3: character(48, 1), 0: _big(48, 1), 1: _big(48, 3, 7)}),
+    # |f| = 10^14: a product of 48 unscaled 1 x 1 blocks overflows
+    BDElement(S, {1: _big(48, 10 ** 14)}),
+    BDElement(S, {1: _big(48, 10 ** 14), 25: _big(48, 10 ** 14, 5)}),
+])
+def test_spectrum_power_sums_match_traces(a):
+    # sum_w w^p = tr A(z)^p, relative to |A(z)|^p: tight at any l, unlike the
+    # characteristic polynomial, whose coefficients grow like |A|^l
+    grid = 16
+    got = np.array(spectrum_sample(a, grid=grid)).reshape(grid, a.period)
+    assert np.isfinite(got).all()
+    sym = _evaluate(a.matrix_symbol(), grid)
+    norm = np.linalg.svd(sym, compute_uv=False).max(axis=1)
+    power = sym
+    for p in (1, 2, 3):
+        err = np.abs((got ** p).sum(axis=1) - np.trace(power, axis1=1, axis2=2))
+        assert (err <= 1e-11 * a.period * norm ** p).all()
+        power = power @ sym
+
+
 def test_norm_rejects_small_grid():
     with pytest.raises(ValueError):
         operator_norm(U, grid=8)
+
+
+def test_sampling_work_is_bounded():
+    with pytest.raises(ValueError):
+        operator_norm(U, m=65)
+    # (m + 1) * grid * l^2 = 4 * 4096 * 64^2 = 2^26 is allowed, 5 * 4096 * 64^2 is not
+    a = BDElement(S, {1: character(64, 1)})
+    assert operator_norm(a, m=3, grid=4096).value == pytest.approx(2.0 ** 3)
+    with pytest.raises(ValueError):
+        operator_norm(a, m=4, grid=4096)
+    with pytest.raises(ValueError):
+        operator_norm(BDElement.shift(S, 10 ** 9))
+    with pytest.raises(ValueError):
+        spectrum_sample(U, grid=(1 << 26) + 1)
+    # a diagonal element samples nothing, so any grid is allowed
+    assert operator_norm(BDElement.mult_op(S, F), grid=10 ** 9).kind == "exact"
+    assert operator_norm(U, m=64).value == pytest.approx(2.0 ** 64)
 
 
 def test_trace():

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -407,3 +408,22 @@ def test_long_integer_input_still_exits_1(capsys):
                     '{"rows":1,"cols":1,"entries":[1' + "0" * 4999 + "]}")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+ONE = '{"period":1,"values":[{"order":1,"terms":[[0,"1"]]}]}'
+SHIFT = '{"S":[[2,"inf"]],"period":1,"coeffs":{"1":' + ONE + '}}'
+
+
+@pytest.mark.parametrize("args", [
+    ("--a", SHIFT, "--grid", "1000000000"),
+    ("--a", SHIFT, "--m", "100000"),
+    # label 10^9 reaches z^(10^9), so the grid would be 2 * 10^9 + 1 points
+    ("--a", '{"S":[[2,"inf"]],"period":1,"coeffs":{"1000000000":' + ONE + '}}'),
+])
+def test_bd_norm_refuses_oversized_sampling(args):
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bdalg", "bd", "norm", *args],
+                          capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"

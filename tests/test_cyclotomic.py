@@ -250,6 +250,24 @@ def test_eval_refuses_huge_precision():
     assert elapsed < 20
 
 
+@pytest.mark.parametrize("order", [1000003, 1000000000000000003])
+def test_cli_refuses_orders_above_the_limit(order):
+    # factorizing 10^18 + 3 by trial division would not finish
+    proc, elapsed = _cli("cyc", "iszero", "--a",
+                         '{"order":%d,"terms":[[0,"1"],[1,"1"]]}' % order)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+    assert elapsed < 5
+
+
+def test_orders_above_the_limit_are_refused():
+    with pytest.raises(ValueError):
+        root_of_unity(1, 10 ** 6 + 1)
+    with pytest.raises(ValueError):  # the lcm of two allowed orders
+        root_of_unity(1, 999983) + root_of_unity(1, 999979)
+    assert root_of_unity(1, 10 ** 6).order == 10 ** 6
+
+
 def test_doctests():
     import doctest
 
