@@ -278,17 +278,6 @@ class LaurentPoly:
     def to_json(self) -> list:
         return [[p, self.terms[p].to_json()] for p in sorted(self.terms)]
 
-    @classmethod
-    def from_json(cls, obj) -> "LaurentPoly":
-        if not isinstance(obj, list):
-            raise ValueError("Laurent polynomial must be a list of [power, coeff] pairs")
-        for it in obj:
-            if not isinstance(it, list) or len(it) != 2:
-                raise ValueError("Laurent polynomial terms must be [power, coeff] pairs")
-            if not _is_int(it[0]):
-                raise ValueError("Laurent polynomial powers must be integers")
-        return cls({p: Cyclo.from_json(c) for p, c in obj})
-
     def __repr__(self):
         if not self.terms:
             return "LaurentPoly(0)"
@@ -356,17 +345,6 @@ class MatrixSymbol:
     def to_json(self) -> dict:
         return {"size": self.size,
                 "entries": [[e.to_json() for e in row] for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj) -> "MatrixSymbol":
-        if not isinstance(obj, dict) or set(obj) != {"size", "entries"}:
-            raise ValueError('symbol must be {"size": l, "entries": [[...]]}')
-        entries = obj["entries"]
-        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-            raise ValueError("symbol entries must be a list of rows")
-        if not _is_int(obj["size"]) or obj["size"] != len(entries):
-            raise ValueError("symbol size does not match its entries")
-        return cls([[LaurentPoly.from_json(e) for e in row] for row in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -542,26 +520,23 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
         raise ValueError(f"norm level above {_MAX_LEVEL}")
     if method not in ("binomial", "recursive"):
         raise ValueError(f"unknown method {method!r}")
+    return _assemble_norm(a, _base_norms(a, m, grid), method)
 
-    parts = _base_norms(a, m, grid)
+
+def _assemble_norm(a: BDElement, parts: list, method: str) -> NormReport:
+    """The M-norm report of a from its base norms |delta^j(a)|, j = 0..M, as
+    listed by _base_norms; M is len(parts) - 1.  Every level shares one kind
+    and one effective grid.  The values are exact Fractions, so both methods
+    give the same sum."""
+    m = len(parts) - 1
     base = [p[0] for p in parts]
-
     if method == "binomial":
         value = sum((math.comb(m, j) * base[j] for j in range(m + 1)), Fraction(0))
-    else:
-        memo = {}
-
-        def rec(j, level):
-            if level == 0:
-                return base[j]
-            if (j, level) not in memo:
-                memo[(j, level)] = rec(j, level - 1) + rec(j + 1, level - 1)
-            return memo[(j, level)]
-
-        value = rec(0, m)
-
-    kind = "exact" if all(p[1] == "exact" for p in parts) else "grid-estimate"
-    eff = max(p[2] for p in parts)
+    else:  # Pascal rows: |.|_{k+1} at level j is |.|_k at j plus |.|_k at j + 1
+        for _ in range(m):
+            base = [x + y for x, y in zip(base, base[1:])]
+        value = base[0]
+    _, kind, eff = parts[0]
     lower, upper = 0.0, 0.0
     for n, f in a.coeffs.items():
         w = (1 + abs(n)) ** m * f.sup_norm()

@@ -66,15 +66,6 @@ class LocConstFn:
             return self
         return LocConstFn([self.values[k % self.period] for k in range(l)])
 
-    def minimal_period(self) -> "LocConstFn":
-        """Reduce to the smallest period dividing the current one."""
-        for d in range(1, self.period + 1):
-            if self.period % d:
-                continue
-            if all(self.values[k] == self.values[k % d] for k in range(self.period)):
-                return LocConstFn(self.values[:d])
-        return self
-
     def pullback(self, m: int) -> "LocConstFn":
         """Composition with the m-th power of the odometer shift: k -> k + m."""
         return LocConstFn([self.values[(k + m) % self.period]

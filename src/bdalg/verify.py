@@ -1,10 +1,18 @@
-"""Seeded property-suite runner.
+"""Seeded property suites and the one runner that drives them.
 
 Each suite is the runnable counterpart of one of the constructive identities
-implemented by this package, executed on seeded random (or exhaustive) inputs
-at full or 1/10 scale.  Reports carry the number of cases, the first
-counterexample if any, and the wall-clock duration; all randomness comes from
-the given seed, so counterexamples reproduce.
+implemented by this package, and states only its checks: a generator
+`checks(rng, scale)` registered with `@_suite(name, statement)`.  It draws
+every input from `rng`, runs `_scaled(n, scale)` cases (n at scale "full",
+n // 10 at "small") or an exhaustive list, and yields `(ok, witness)` once per
+case.  The witness describes the case's inputs; a callable witness is called
+only when the case fails, before the generator resumes.
+
+Registration fills `SUITES` in definition order with one runner per suite,
+`SUITES[name](seed, scale) -> VerifyReport`.  The runner checks the scale,
+seeds `random.Random(seed)`, times the run, counts the cases and the passes,
+and keeps the first failure's witness; all randomness comes from the seed, so
+counterexamples reproduce.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bd_algebra import BDElement, operator_norm
+from .bd_algebra import BDElement, _assemble_norm, _base_norms
 from .cyclotomic import Cyclo, root_of_unity
 from .derivations import DerivationData, pick_character, recover_covariant, solve_cocycle
 from .homalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
@@ -52,28 +60,33 @@ class VerifyReport:
                 "seed": self.seed, "scale": self.scale, "passed": self.passed}
 
 
+SUITES = {}
+
+
 def _scaled(n: int, scale: str) -> int:
-    if scale == "full":
-        return n
-    if scale == "small":
-        return max(1, n // 10)
-    raise ValueError(f"unknown scale {scale!r}")
+    return n if scale == "full" else max(1, n // 10)
 
 
-class _Collector:
-    """Tallies pass/fail and keeps the first failing input set."""
-
-    def __init__(self):
-        self.run = 0
-        self.passed = 0
-        self.first = None
-
-    def check(self, ok: bool, witness) -> None:
-        self.run += 1
-        if ok:
-            self.passed += 1
-        elif self.first is None:
-            self.first = witness() if callable(witness) else witness
+def _suite(name: str, statement: str):
+    """Register the generator `checks(rng, scale)` as the suite `name`."""
+    def register(checks):
+        def run(seed: int, scale: str) -> VerifyReport:
+            if scale not in ("full", "small"):
+                raise ValueError(f"unknown scale {scale!r}")
+            t0 = time.perf_counter()
+            cases = passed = 0
+            first = None
+            for ok, witness in checks(random.Random(seed), scale):
+                cases += 1
+                if ok:
+                    passed += 1
+                elif first is None:
+                    first = witness() if callable(witness) else witness
+            return VerifyReport(name, statement, cases, passed, first,
+                                time.perf_counter() - t0, seed, scale)
+        SUITES[name] = run
+        return checks
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -117,59 +130,43 @@ _PERIODS_24 = (1, 2, 3, 4, 6, 8, 12, 24)
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_covariance(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("covariance", "M_f U = U M_{f o beta}")
+def _covariance(rng, scale):
     u = BDElement.shift(_S23)
     for _ in range(_scaled(500, scale)):
         f = rand_fn(rng, rng.choice(_PERIODS_24))
         lhs = BDElement.mult_op(_S23, f) * u
         rhs = u * BDElement.mult_op(_S23, f.pullback(1))
-        col.check(lhs == rhs, lambda: {"f": f.to_json()})
-    return VerifyReport("covariance", "M_f U = U M_{f o beta}",
-                        col.run, col.passed, col.first,
-                        time.perf_counter() - t0, seed, scale)
+        yield lhs == rhs, lambda: {"f": f.to_json()}
 
 
-def _suite_mnorm(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+def _assemblies_agree(a: BDElement, parts: list) -> bool:
+    rb, rr = (_assemble_norm(a, parts, method) for method in ("binomial", "recursive"))
+    return rb.value == rr.value and rb.window == rr.window
+
+
+@_suite("mnorm", "binomial and recursive norm assemblies agree bit for bit, M <= 6")
+def _mnorm(rng, scale):
+    # level j of the base norms does not depend on M, so one sampling serves M <= 6
     for _ in range(_scaled(100, scale)):
         a = rand_bd(rng, _S23, (1, 2, 3, 6), max_n=3, max_terms=3)
-        ok = True
-        for m in range(7):
-            rb = operator_norm(a, m=m, grid=256, method="binomial")
-            rr = operator_norm(a, m=m, grid=256, method="recursive")
-            if rb.value != rr.value or rb.window != rr.window:
-                ok = False
-                break
-        col.check(ok, lambda: {"a": a.to_json(), "m": m})
-    return VerifyReport(
-        "mnorm", "binomial and recursive norm assemblies agree bit for bit, M <= 6",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        parts = _base_norms(a, 6, 256)
+        bad = next((m for m in range(7) if not _assemblies_agree(a, parts[:m + 1])), None)
+        yield bad is None, lambda: {"a": a.to_json(), "m": bad}
 
 
-def _suite_cocycle(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("cocycle", "G o beta - G = F with mean-zero F, solved by a prefix sum")
+def _cocycle(rng, scale):
     for _ in range(_scaled(500, scale)):
         raw = rand_fn(rng, rng.choice(_PERIODS_24))
         ft = raw - LocConstFn.constant(raw.haar_integral(), raw.period)
         g = solve_cocycle(ft)
         ok = (g.pullback(1) - g == ft) and g.haar_integral().is_zero()
-        col.check(ok, lambda: {"ft": ft.to_json()})
-    return VerifyReport(
-        "cocycle", "G o beta - G = F with mean-zero F, solved by a prefix sum",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        yield ok, lambda: {"ft": ft.to_json()}
 
 
-def _suite_covariant_roundtrip(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("covariant-roundtrip", "F recovered exactly from [U^n M_F, .] applied to one character")
+def _covariant_roundtrip(rng, scale):
     for _ in range(_scaled(200, scale)):
         n = rng.choice([k for k in range(-6, 7) if k != 0])
         f = rand_fn(rng, rng.choice((1, 2, 3, 4, 6, 8)))
@@ -177,12 +174,7 @@ def _suite_covariant_roundtrip(seed: int, scale: str) -> VerifyReport:
         d = DerivationData(0, LocConstFn.zero(), {n: f})
         delta_of_chi = d.apply(BDElement.mult_op(_S23, character(pick.l, pick.j)))
         recovered = recover_covariant(n, pick.l, pick.j, delta_of_chi)
-        col.check(recovered == f,
-                  lambda: {"n": n, "l": pick.l, "j": pick.j, "F": f.to_json()})
-    return VerifyReport(
-        "covariant-roundtrip",
-        "F recovered exactly from [U^n M_F, .] applied to one character",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        yield recovered == f, lambda: {"n": n, "l": pick.l, "j": pick.j, "F": f.to_json()}
 
 
 _CHARPICK_POOL = (
@@ -198,10 +190,8 @@ _CHARPICK_POOL = (
 )
 
 
-def _suite_charpick(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("charpick", "|1 - chi(q(n))| >= 3/2 for the selected character; = 2 for even h")
+def _charpick(rng, scale):
     for _ in range(_scaled(200, scale)):
         n = rng.choice([k for k in range(-60, 61) if k != 0])
         S = rng.choice(_CHARPICK_POOL)
@@ -212,11 +202,7 @@ def _suite_charpick(seed: int, scale: str) -> VerifyReport:
         ok = gap >= 1.5 - 1e-12
         if h % 2 == 0:
             ok = ok and val == Cyclo.from_rational(-1) and pick.bound == 2.0
-        col.check(ok, lambda: {"n": n, "S": S.to_json(),
-                               "l": pick.l, "j": pick.j, "gap": gap})
-    return VerifyReport(
-        "charpick", "|1 - chi(q(n))| >= 3/2 for the selected character; = 2 for even h",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        yield ok, lambda: {"n": n, "S": S.to_json(), "l": pick.l, "j": pick.j, "gap": gap}
 
 
 _R_CHAINS = (DivisorChain.of([2, 4, 8, 16]),
@@ -229,10 +215,9 @@ def _level_pairs(chain: DivisorChain):
     return [(a, b) for a in levels for b in levels if b % a == 0 and a <= b]
 
 
-def _suite_consistency(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("consistency",
+        "R(1,l') - R(1,l) = l R(l,l'); R congruent along the chain; R_lin = -R_def (mod l)")
+def _consistency(rng, scale):
     for i in range(_scaled(1000, scale)):
         chain = _R_CHAINS[i % len(_R_CHAINS)]
         phi = rand_phi(rng, chain)
@@ -242,7 +227,7 @@ def _suite_consistency(seed: int, scale: str) -> VerifyReport:
                 ok = False
             if (phi.r_sum(1, l) - phi.r_sum(1, lp)) % l != 0:
                 ok = False
-        col.check(ok, lambda: {"phi": phi.to_json()})
+        yield ok, lambda: {"phi": phi.to_json()}
     # sign bridge, exhaustive over small tops
     for levels in ((2, 4), (2, 6), (3, 6)):
         chain = DivisorChain.of(levels)
@@ -254,17 +239,12 @@ def _suite_consistency(seed: int, scale: str) -> VerifyReport:
             phi = PhiFn(chain, top)
             ok = all((phi.r_sum(1, l, "lin") + phi.r_sum(1, l, "def")) % l == 0
                      for l in (1,) + chain.levels)
-            col.check(ok, lambda: {"phi": phi.to_json()})
-    return VerifyReport(
-        "consistency",
-        "R(1,l') - R(1,l) = l R(l,l'); R congruent along the chain; R_lin = -R_def (mod l)",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+            yield ok, lambda: {"phi": phi.to_json()}
 
 
-def _suite_kernel_image(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
+@_suite("kernel-image",
+        "coboundary_preimage inverts 1 - shift* on the tau-kernel; tau o coboundary = 0")
+def _kernel_image(rng, scale):
     chains = _R_CHAINS + (DivisorChain.of([2, 4]),)
     for i in range(_scaled(1000, scale)):
         chain = chains[i % len(chains)]
@@ -279,38 +259,28 @@ def _suite_kernel_image(seed: int, scale: str) -> VerifyReport:
         ok = ok and cb.tau() == 0
         ok = ok and all(cb.r_sum(1, l) == l * psi0.value(l, 0) - psi0.value(1, 0)
                         for l in chain.levels)
-        col.check(ok, lambda: {"phi": phi.to_json(), "psi0": psi0.to_json()})
-    return VerifyReport(
-        "kernel-image",
-        "coboundary_preimage inverts 1 - shift* on the tau-kernel; tau o coboundary = 0",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        yield ok, lambda: {"phi": phi.to_json(), "psi0": psi0.to_json()}
 
 
-def _suite_rho_onto(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    col = _Collector()
+@_suite("rho-onto", "digit construction realizes every residue: R_lin(1, l_n) = x (mod l_n)")
+def _rho_onto(rng, scale):
     for levels in ((2, 4, 8), (2, 6, 12), (3, 9, 27)):
         chain = DivisorChain.of(levels)
         for r in range(chain.top):
             phi = PhiFn.from_profinite(chain.from_residue(r))
             ok = all(phi.r_sum(1, l, "lin") % l == r % l for l in chain.levels)
-            col.check(ok, lambda: {"chain": list(levels), "residue": r})
-    return VerifyReport(
-        "rho-onto",
-        "digit construction realizes every residue: R_lin(1, l_n) = x (mod l_n)",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+            yield ok, lambda: {"chain": list(levels), "residue": r}
 
 
 _S_K0 = SupernaturalNumber.of({2: INF, 3: INF, 5: INF, 7: INF, 11: INF})
 
 
-def _suite_k0(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    col = _Collector()
+@_suite("k0", "projection decomposition, trace classes 1/l, pushforward 1/l = (l'/l)(1/l')")
+def _k0(rng, scale):
     for l in range(1, 13):
         for j in range(l):
             cls = k0_class(residue_projection(l, j, _S_K0))
-            col.check(cls == GSRational(1, l), lambda: {"l": l, "j": j, "class": str(cls)})
+            yield cls == GSRational(1, l), lambda: {"l": l, "j": j, "class": str(cls)}
     for l, lp in ((1, 2), (2, 4), (2, 6), (3, 9), (4, 8), (6, 12)):
         total = BDElement.zero(_S_K0)
         parts = []
@@ -324,24 +294,17 @@ def _suite_k0(seed: int, scale: str) -> VerifyReport:
             sum_cls = sum_cls + c
         ok = ok and sum_cls == GSRational(1, l)
         ok = ok and Fraction(1, l) == (lp // l) * Fraction(1, lp)
-        col.check(ok, lambda: {"l": l, "lp": lp})
+        yield ok, lambda: {"l": l, "lp": lp}
     for a, b in ((0, 1), (1, 2), (0, 3)):
         prod = residue_projection(4, a, _S_K0) * residue_projection(4, b, _S_K0)
-        col.check(prod == BDElement.zero(_S_K0), lambda: {"a": a, "b": b})
-    return VerifyReport(
-        "k0", "projection decomposition, trace classes 1/l, pushforward 1/l = (l'/l)(1/l')",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
+        yield prod == BDElement.zero(_S_K0), lambda: {"a": a, "b": b}
 
 
-def _suite_ext(seed: int, scale: str) -> VerifyReport:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    col = _Collector()
-    top_n = 100 if scale == "full" else 30
-    for n in range(2, top_n + 1):
+@_suite("ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100; U A V = D with unimodular U, V")
+def _ext(rng, scale):
+    for n in range(2, (100 if scale == "full" else 30) + 1):
         hom, ext = ext1_hom(IntMatrix.from_rows([[n]]))
-        ok = hom == FGAbelianGroup(0) and ext == FGAbelianGroup(0, (n,))
-        col.check(ok, lambda: {"n": n})
+        yield hom == FGAbelianGroup(0) and ext == FGAbelianGroup(0, (n,)), lambda: {"n": n}
     for _ in range(_scaled(500, scale)):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
@@ -354,33 +317,14 @@ def _suite_ext(seed: int, scale: str) -> VerifyReport:
         for i in range(len(diag) - 1):
             if diag[i] != 0 and diag[i + 1] != 0 and diag[i + 1] % diag[i] != 0:
                 ok = False
-        col.check(ok, lambda: {"matrix": a.to_json()})
-    return VerifyReport(
-        "ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100; U A V = D with unimodular U, V",
-        col.run, col.passed, col.first, time.perf_counter() - t0, seed, scale)
-
-
-SUITES = {
-    "covariance": _suite_covariance,
-    "mnorm": _suite_mnorm,
-    "cocycle": _suite_cocycle,
-    "covariant-roundtrip": _suite_covariant_roundtrip,
-    "charpick": _suite_charpick,
-    "consistency": _suite_consistency,
-    "kernel-image": _suite_kernel_image,
-    "rho-onto": _suite_rho_onto,
-    "k0": _suite_k0,
-    "ext": _suite_ext,
-}
+        yield ok, lambda: {"matrix": a.to_json()}
 
 
 def run_suite(name: str, seed: int = 0, scale: str = "full") -> list:
     """Run one suite (or all of them); returns a list of reports."""
-    if scale not in ("full", "small"):
-        raise ValueError(f"unknown scale {scale!r}")
     if name == "all":
-        return [fn(seed, scale) for fn in SUITES.values()]
+        return [run(seed, scale) for run in SUITES.values()]
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from "
-                       f"{', '.join(list(SUITES) + ['all'])}")
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{', '.join(list(SUITES) + ['all'])}")
     return [SUITES[name](seed, scale)]

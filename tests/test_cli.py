@@ -427,3 +427,22 @@ def test_bd_norm_refuses_oversized_sampling(args):
     assert time.perf_counter() - t0 < 5
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
+BIG = "1" + "0" * 400  # 10^400 overflows a float
+
+
+@pytest.mark.parametrize("argv", [
+    # the weight 100000^64 of the top level overflows a float
+    ("bd", "norm", "--a", '{"S":[[2,"inf"]],"period":1,"coeffs":{"100000":' + ONE + '}}',
+     "--m", "64"),
+    ("cyc", "eval", "--a", '{"order":1,"terms":[[0,"' + BIG + '"]]}'),
+    ("bd", "norm", "--a", '{"S":[[2,"inf"]],"period":1,"coeffs":{"1":{"period":1,"values":'
+     '[{"order":1,"terms":[[0,"' + BIG + '"]]}]}}}'),
+])
+def test_float_overflow_exits_1_with_the_error_document(argv):
+    proc = subprocess.run([sys.executable, "-m", "bdalg", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "OverflowError"

@@ -93,14 +93,6 @@ def test_period_lifting_preserves_function():
         assert g.evaluate(ch.from_residue(r)) == f.evaluate(ch.from_residue(r))
 
 
-def test_minimal_period():
-    f = LocConstFn([1, 2, 1, 2, 1, 2])
-    assert f.minimal_period().period == 2
-    assert f.minimal_period() == f
-    g = LocConstFn([1, 2, 3])
-    assert g.minimal_period().period == 3
-
-
 def test_pointwise_algebra():
     f = LocConstFn([1, 2])
     g = LocConstFn([1, 0, 2])

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from bdalg import VerifyReport, run_suite
-from bdalg.verify import SUITES
+from bdalg import DivisorChain, PhiFn, VerifyReport, run_suite
+from bdalg.verify import SUITES, rand_phi
 
 
 def test_report_invariants():
@@ -17,7 +19,7 @@ def test_report_invariants():
 
 
 def test_unknown_suite_and_scale():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         run_suite("nope")
     with pytest.raises(ValueError):
         run_suite("k0", scale="medium")
@@ -43,3 +45,42 @@ def test_reports_deterministic_under_seed():
         (b.cases_run, b.cases_passed, b.first_counterexample)
     c = SUITES["mnorm"](4, "small")
     assert c.passed and c.cases_run == 10
+
+
+def test_every_suite_refuses_an_unknown_scale():
+    # rho-onto and k0 draw nothing at random, so only the runner sees the scale
+    for suite in SUITES.values():
+        with pytest.raises(ValueError, match="unknown scale"):
+            suite(0, "medium")
+
+
+def test_cases_run_pinned_at_seed_7_small():
+    reports = [suite(7, "small") for suite in SUITES.values()]
+    assert [r.suite for r in reports] == [
+        "covariance", "mnorm", "cocycle", "covariant-roundtrip", "charpick",
+        "consistency", "kernel-image", "rho-onto", "k0", "ext"]
+    assert [r.cases_run for r in reports] == [50, 10, 50, 20, 20, 31975, 100, 47, 87, 79]
+    assert all(r.passed and r.seed == 7 and r.scale == "small" for r in reports)
+
+
+def test_injected_fault_is_reported_with_its_first_witness(monkeypatch):
+    # the coboundary goes wrong only on the chain 2 | 6 | 12, which kernel-image
+    # visits at every fourth case starting with the second
+    coboundary = PhiFn.coboundary
+
+    def faulty(self):
+        out = coboundary(self)
+        if self.chain.top != 12:
+            return out
+        return PhiFn(self.chain, [out.top[0] + 1] + list(out.top[1:]))
+
+    monkeypatch.setattr(PhiFn, "coboundary", faulty)
+    rep = SUITES["kernel-image"](5, "small")
+    assert rep.cases_run == 100 and rep.cases_passed == 75 and not rep.passed
+    rng = random.Random(5)
+    chains = (DivisorChain.of([2, 4, 8, 16]), DivisorChain.of([2, 6, 12]))
+    for chain in chains:  # replay the draws of the first two cases
+        top = [rng.randint(-9, 9) for _ in range(chain.top - 1)]
+        phi = PhiFn(chain, top + [-sum(top)])
+        psi0 = rand_phi(rng, chain)
+    assert rep.first_counterexample == {"phi": phi.to_json(), "psi0": psi0.to_json()}
