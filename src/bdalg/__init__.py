@@ -4,32 +4,42 @@ Supernatural arithmetic, truncated odometer rings, exact cyclotomic values,
 locally constant functions, the polynomial crossed-product algebra with its
 matrix symbols and norm estimates, derivation classification data, K-theoretic
 invariants and integer homological algebra.
+
+The names below are loaded on first access (PEP 562): importing the package
+imports none of its modules, so a caller pays only for the modules it uses.
 """
 
-from .bd_algebra import (BDElement, LaurentPoly, MatrixSymbol, NormReport,
-                         operator_norm, spectrum_sample)
-from .cyclotomic import Cyclo, cyclotomic_polynomial, root_of_unity
-from .derivations import (CharacterPick, DerivationData, decompose_invariant,
-                          nonsmooth_commutator, pick_character,
-                          recover_covariant, solve_cocycle)
-from .homalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
-from .k_invariants import (GSRational, PhiFn, hom_obstruction, k0_class,
-                           residue_projection)
-from .odometer_fn import LocConstFn, character, synthesize
-from .profinite import DivisorChain, ProfiniteInt
-from .supernatural import INF, SupernaturalNumber
-from .verify import SUITES, VerifyReport, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BDElement", "CharacterPick", "Cyclo", "DerivationData", "DivisorChain",
-    "FGAbelianGroup", "GSRational", "INF", "IntMatrix", "LaurentPoly",
-    "LocConstFn", "MatrixSymbol", "NormReport", "PhiFn", "ProfiniteInt",
-    "SUITES", "SupernaturalNumber", "VerifyReport", "character",
-    "cyclotomic_polynomial", "decompose_invariant", "ext1_hom",
-    "hom_obstruction", "k0_class", "nonsmooth_commutator", "operator_norm",
-    "pick_character", "recover_covariant", "residue_projection",
-    "root_of_unity", "run_suite", "smith_normal_form", "solve_cocycle",
-    "spectrum_sample", "synthesize",
-]
+_HOMES = {
+    "bd_algebra": ("BDElement", "LaurentPoly", "MatrixSymbol", "NormReport",
+                   "operator_norm", "spectrum_sample"),
+    "cyclotomic": ("Cyclo", "cyclotomic_polynomial", "root_of_unity"),
+    "derivations": ("CharacterPick", "DerivationData", "decompose_invariant",
+                    "nonsmooth_commutator", "pick_character", "recover_covariant",
+                    "solve_cocycle"),
+    "homalg": ("FGAbelianGroup", "IntMatrix", "ext1_hom", "smith_normal_form"),
+    "k_invariants": ("GSRational", "PhiFn", "hom_obstruction", "k0_class",
+                     "residue_projection"),
+    "odometer_fn": ("LocConstFn", "character", "synthesize"),
+    "profinite": ("DivisorChain", "ProfiniteInt"),
+    "supernatural": ("INF", "SupernaturalNumber"),
+    "verify": ("SUITES", "VerifyReport", "run_suite"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,11 +9,14 @@ hom (Smith form and Ext), plus `verify`, which runs the seeded suites of
 Every verb is one entry of the table `VERBS`: group -> verb -> (params,
 function, help).  A param is (name, reader) or (name, reader, default); the
 name is the option (`--chain-depth` for chain_depth) and the key in a `--json`
-document.  A reader is `_as_int`, `_as_fraction`, `_raw`, or a class whose
-`from_json` parses the value.  One dispatcher serves every entry: it gathers
-the options, reports missing required params, reads the values in declaration
-order, calls the function with them in that order, converts every value of
-the result that has `to_json()` (also inside dicts) and prints the document.
+document.  A reader is `_as_int`, `_as_fraction`, `_raw`, or the dotted name
+"module.Class" of a library class whose `from_json` parses the value; the
+function is a callable or the dotted name of a library function.  Dotted names
+are resolved when the verb runs, so a call imports only the modules its verb
+uses.  One dispatcher serves every entry: it gathers the options, reports
+missing required params, reads the values in declaration order, calls the
+function with them in that order, converts every value of the result that has
+`to_json()` (also inside dicts) and prints the document.
 
 Object-valued options take inline JSON; `--json FILE` (or `-` for stdin)
 supplies any missing options from a JSON document whose keys are the option
@@ -26,22 +29,12 @@ Exit codes: 0 success, 1 invalid input (with a structured error document),
 """
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 from fractions import Fraction
 
 import click
-
-from .bd_algebra import BDElement, operator_norm, spectrum_sample
-from .cyclotomic import Cyclo, root_of_unity
-from .derivations import (DerivationData, nonsmooth_commutator, pick_character,
-                          recover_covariant, solve_cocycle, decompose_invariant)
-from .homalg import IntMatrix, ext1_hom, smith_normal_form
-from .k_invariants import PhiFn, hom_obstruction, k0_class, residue_projection
-from .odometer_fn import LocConstFn, character
-from .profinite import DivisorChain, ProfiniteInt
-from .supernatural import SupernaturalNumber
-from .verify import run_suite
 
 
 def _dumps(doc, fmt: str) -> str:
@@ -115,8 +108,14 @@ def _raw(v, name: str):
     return v
 
 
+def _lib(path: str):
+    """The library object named "module.attr", importing bdalg.module on first use."""
+    module, _, attr = path.partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
+
+
 def _read(reader, v, name: str):
-    return reader.from_json(v) if isinstance(reader, type) else reader(v, name)
+    return _lib(reader).from_json(v) if isinstance(reader, str) else reader(v, name)
 
 
 def _plain(v):
@@ -132,17 +131,20 @@ def _re_im(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _mean_and_coboundary(c: Cyclo, g: LocConstFn) -> dict:
+def _mean_and_coboundary(c, g) -> dict:
     rat = c.as_rational()
     return {"C": str(rat) if rat is not None else c, "G": g}
 
 
-# Library functions are called through lambdas, which look them up in this
-# module when the verb runs, so a wrapper installed on a module attribute at
-# run time (a profiler, say) sees the call.  Short reader names keep each
-# entry to a line or two.
-_SN, _DC, _ZS, _FN, _BD, _PHI = (SupernaturalNumber, DivisorChain, ProfiniteInt,
-                                 LocConstFn, BDElement, PhiFn)
+# Library objects are named "module.attr" and looked up with _lib when the
+# verb runs, so a call imports only the modules its verb uses, and a wrapper
+# installed on a module attribute at run time (a profiler, say) sees the
+# call.  A function that takes the params as they are is given by its name
+# alone.  Short reader names keep each entry to a line or two.
+_SN, _DC, _ZS, _FN, _BD, _PHI, _CYC, _DER, _MAT = (
+    "supernatural.SupernaturalNumber", "profinite.DivisorChain", "profinite.ProfiniteInt",
+    "odometer_fn.LocConstFn", "bd_algebra.BDElement", "k_invariants.PhiFn",
+    "cyclotomic.Cyclo", "derivations.DerivationData", "homalg.IntMatrix")
 _INT = _as_int
 
 VERBS = {
@@ -172,19 +174,19 @@ VERBS = {
                   "Odometer shift by m (default 1)."),
     },
     "cyc": {
-        "root": ((("k", _INT), ("n", _INT)), lambda k, n: root_of_unity(k, n),
+        "root": ((("k", _INT), ("n", _INT)), "cyclotomic.root_of_unity",
                  "The root of unity zeta_n^k."),
-        "add": ((("a", Cyclo), ("b", Cyclo)), lambda a, b: a + b, None),
-        "mul": ((("a", Cyclo), ("b", Cyclo)), lambda a, b: a * b, None),
-        "conj": ((("a", Cyclo),), lambda a: a.conj(), None),
-        "scale": ((("a", Cyclo), ("c", _as_fraction)), lambda a, c: a * c, None),
-        "iszero": ((("a", Cyclo),), lambda a: {"is_zero": a.is_zero()}, None),
-        "eval": ((("a", Cyclo), ("precision", _INT, 53)),
+        "add": ((("a", _CYC), ("b", _CYC)), lambda a, b: a + b, None),
+        "mul": ((("a", _CYC), ("b", _CYC)), lambda a, b: a * b, None),
+        "conj": ((("a", _CYC),), lambda a: a.conj(), None),
+        "scale": ((("a", _CYC), ("c", _as_fraction)), lambda a, c: a * c, None),
+        "iszero": ((("a", _CYC),), lambda a: {"is_zero": a.is_zero()}, None),
+        "eval": ((("a", _CYC), ("precision", _INT, 53)),
                  lambda a, precision: _re_im(a.to_complex(precision)),
                  "Floating point evaluation (re, im)."),
     },
     "fn": {
-        "char": ((("l", _INT), ("k", _INT)), lambda l, k: character(l, k),
+        "char": ((("l", _INT), ("k", _INT)), "odometer_fn.character",
                  "The character of period l and index k."),
         "evaluate": ((("f", _FN), ("x", _ZS)), lambda f, x: f.evaluate(x), None),
         "pullback": ((("f", _FN), ("m", _INT)), lambda f, m: f.pullback(m), None),
@@ -203,40 +205,40 @@ VERBS = {
         "fourier": ((("a", _BD), ("n", _INT)), lambda a, n: a.fourier_coefficient(n), None),
         "symbol": ((("a", _BD),), lambda a: a.matrix_symbol(), None),
         "norm": ((("a", _BD), ("m", _INT, 0), ("grid", _INT, 256), ("method", _raw, "binomial")),
-                 lambda a, m, grid, method: operator_norm(a, m=m, grid=grid, method=method),
+                 lambda a, m, grid, method: _lib("bd_algebra.operator_norm")(
+                     a, m=m, grid=grid, method=method),
                  "Norm report with the exact window bracket."),
         "trace": ((("a", _BD),), lambda a: a.trace(), None),
         "spectrum": ((("a", _BD), ("grid", _INT, 256)), lambda a, grid: {"points": [
-            [w.real, w.imag] for w in spectrum_sample(a, grid=grid)]},
+            [w.real, w.imag] for w in _lib("bd_algebra.spectrum_sample")(a, grid=grid)]},
                      "Eigenvalues of the symbol sampled over the circle."),
     },
     "der": {
-        "apply": ((("d", DerivationData), ("b", _BD)), lambda d, b: d.apply(b), None),
-        "component": ((("d", DerivationData), ("n", _INT)),
-                      lambda d, n: d.fourier_component(n), None),
-        "cocycle": ((("ft", _FN),), lambda ft: solve_cocycle(ft),
+        "apply": ((("d", _DER), ("b", _BD)), lambda d, b: d.apply(b), None),
+        "component": ((("d", _DER), ("n", _INT)), lambda d, n: d.fourier_component(n), None),
+        "cocycle": ((("ft", _FN),), "derivations.solve_cocycle",
                     "Solve G o beta - G = ft for mean-zero ft."),
-        "decompose": ((("f", _FN),), lambda f: _mean_and_coboundary(*decompose_invariant(f)),
+        "decompose": ((("f", _FN),), lambda f: _mean_and_coboundary(
+            *_lib("derivations.decompose_invariant")(f)),
                       "Split F into its mean and a coboundary: F = C + (G o beta - G)."),
         "recover": ((("n", _INT), ("l", _INT), ("k", _INT), ("delta", _BD)),
-                    lambda n, l, k, delta: recover_covariant(n, l, k, delta), None),
-        "pickchar": ((("n", _INT), ("s", _SN)),
-                     lambda n, s: dict(zip(("l", "j", "bound"), pick_character(n, s))),
+                    "derivations.recover_covariant", None),
+        "pickchar": ((("n", _INT), ("s", _SN)), lambda n, s: dict(zip(
+            ("l", "j", "bound"), _lib("derivations.pick_character")(n, s))),
                      "Character with the certified gap |1 - chi(q(n))| >= 3/2."),
         "nonsmooth": ((("s", _SN), ("chain_depth", _INT), ("terms", _INT), ("l", _INT),
                        ("k", _INT)),
-                      lambda s, depth, terms, l, k: {
-                          "laurent": nonsmooth_commutator(s, depth, terms, l, k)},
+                      lambda s, depth, terms, l, k: {"laurent": _lib(
+                          "derivations.nonsmooth_commutator")(s, depth, terms, l, k)},
                       "Truncated non-smooth commutator polynomial."),
     },
     "k": {
-        "proj": ((("l", _INT), ("j", _INT), ("s", _SN)),
-                 lambda l, j, s: residue_projection(l, j, s),
+        "proj": ((("l", _INT), ("j", _INT), ("s", _SN)), "k_invariants.residue_projection",
                  "Projection onto the residue class j mod l."),
-        "k0": ((("p", _BD),), lambda p: {"class": k0_class(p)},
+        "k0": ((("p", _BD),), lambda p: {"class": _lib("k_invariants.k0_class")(p)},
                "K0 class of a projection (trace pairing)."),
-        "homobstruction": ((("l", _INT), ("a", _INT), ("chain", _DC)),
-                           lambda l, a, chain: {"witness": hom_obstruction(l, a, chain)}, None),
+        "homobstruction": ((("l", _INT), ("a", _INT), ("chain", _DC)), lambda l, a, chain: {
+            "witness": _lib("k_invariants.hom_obstruction")(l, a, chain)}, None),
         "phival": ((("phi", _PHI), ("l", _INT), ("k", _INT)),
                    lambda phi, l, k: {"value": phi.value(l, k)}, None),
         "r": ((("phi", _PHI), ("l", _INT), ("lp", _INT), ("mode", _raw, "def")),
@@ -246,13 +248,15 @@ VERBS = {
         "coboundary": ((("phi", _PHI),), lambda phi: phi.coboundary(), None),
         "psi": ((("phi", _PHI),), lambda phi: phi.coboundary_preimage(),
                 "Preimage under 1 - shift* on the tau-kernel."),
-        "digitphi": ((("x", _ZS),), lambda x: PhiFn.from_profinite(x),
+        "digitphi": ((("x", _ZS),), lambda x: _lib(_PHI).from_profinite(x),
                      "The digit construction certifying surjectivity of rho."),
     },
     "hom": {
-        "snf": ((("matrix", IntMatrix),), lambda m: dict(zip("UDV", smith_normal_form(m))),
+        "snf": ((("matrix", _MAT),), lambda m: dict(zip(
+            "UDV", _lib("homalg.smith_normal_form")(m))),
                 "Smith normal form with unimodular transformations."),
-        "ext": ((("matrix", IntMatrix),), lambda m: dict(zip(("hom", "ext"), ext1_hom(m))),
+        "ext": ((("matrix", _MAT),), lambda m: dict(zip(
+            ("hom", "ext"), _lib("homalg.ext1_hom")(m))),
                 "Hom(G, Z) and Ext^1(G, Z) for G presented by the matrix."),
     },
 }
@@ -275,13 +279,14 @@ _FMT_OPT = click.option("--format", "fmt", default="compact",
 def _command(verb: str, params: tuple, fn, help_text) -> click.Command:
     """The click command that runs one table entry and prints its document."""
     def run(json_file, fmt, **inline):
+        call = _lib(fn) if isinstance(fn, str) else fn
         data = _gather(json_file, **inline)
         missing = [name for name, _, *default in params if not default and name not in data]
         if missing:
             raise ValueError(f"missing required argument(s): {', '.join(missing)}")
         args = [_read(reader, data.get(name, *default), name)
                 for name, reader, *default in params]
-        click.echo(_dumps(fn(*args), fmt))
+        click.echo(_dumps(call(*args), fmt))
 
     options = [click.Option([f"--{p[0].replace('_', '-')}", p[0]]) for p in params]
     options.append(click.Option(["--json", "json_file"],
@@ -306,7 +311,7 @@ for _group, _verbs in VERBS.items():
 @_FMT_OPT
 def _verify(suite, seed, scale, fmt):
     """Run a named property suite (or `all`); exits 2 on failure."""
-    reports = run_suite(suite, seed=seed, scale=scale)
+    reports = _lib("verify.run_suite")(suite, seed=seed, scale=scale)
     doc = {"suite": suite, "seed": seed, "scale": scale,
            "passed": all(r.passed for r in reports),
            "cases_run": sum(r.cases_run for r in reports),

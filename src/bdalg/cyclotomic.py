@@ -300,8 +300,11 @@ class Cyclo:
         """Floating point value; error is about (#terms * max|coeff|) * 2^(1-precision).
 
         Precisions beyond 53 bits use mpmath internally and round the result
-        back to a double; more than _MAX_PRECISION bits are refused.
+        back to a double; fewer than 1 or more than _MAX_PRECISION bits are
+        refused.
         """
+        if precision < 1:
+            raise ValueError("precision must be >= 1 bit")
         if precision > _MAX_PRECISION:
             raise ValueError(f"precision above {_MAX_PRECISION} bits")
         if precision <= 53:

@@ -69,6 +69,11 @@ def factorize(n: int) -> dict[int, int]:
 # prime_index sieves up to p, so at this bound it holds a 10 MB bytearray.
 _PRIME_INDEX_LIMIT = 10 ** 7
 
+# Depth beyond which divisor_chain refuses to work: under an infinite exponent
+# the levels grow geometrically, so level d has O(d) digits and the chain
+# O(d^2) in all.
+_MAX_CHAIN_DEPTH = 1000
+
 
 def prime_index(p: int) -> int:
     """1-based position of p in the sequence of all primes (2 is the 1st).
@@ -168,7 +173,8 @@ class SupernaturalNumber:
         return out
 
     def divisor_chain(self, depth: int) -> list[int]:
-        """The canonical strictly increasing chain of divisors, length `depth`.
+        """The canonical strictly increasing chain of divisors, length `depth`
+        (at most _MAX_CHAIN_DEPTH).
 
         Step n assigns the k-th prime the exponent min(n - k + 1, e_p), so the
         exponents climb one stair per step and converge to those of the number;
@@ -182,6 +188,8 @@ class SupernaturalNumber:
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        if depth > _MAX_CHAIN_DEPTH:
+            raise ValueError(f"depth above {_MAX_CHAIN_DEPTH}")
         indices = {p: prime_index(p) for p, _ in self.factors}
         chain: list[int] = []
         full = self.as_int() if self.is_finite else None

@@ -12,7 +12,9 @@ Registration fills `SUITES` in definition order with one runner per suite,
 `SUITES[name](seed, scale) -> VerifyReport`.  The runner checks the scale,
 seeds `random.Random(seed)`, times the run, counts the cases and the passes,
 and keeps the first failure's witness; all randomness comes from the seed, so
-counterexamples reproduce.
+counterexamples reproduce.  An exception raised by a check counts as one more
+failing case, with witness {"error": type name, "message": text} unless an
+earlier failure was kept, and ends that suite; the other suites still run.
 """
 from __future__ import annotations
 
@@ -76,12 +78,17 @@ def _suite(name: str, statement: str):
             t0 = time.perf_counter()
             cases = passed = 0
             first = None
-            for ok, witness in checks(random.Random(seed), scale):
+            try:
+                for ok, witness in checks(random.Random(seed), scale):
+                    cases += 1
+                    if ok:
+                        passed += 1
+                    elif first is None:
+                        first = witness() if callable(witness) else witness
+            except Exception as e:  # one failing case that ends this suite only
                 cases += 1
-                if ok:
-                    passed += 1
-                elif first is None:
-                    first = witness() if callable(witness) else witness
+                if first is None:
+                    first = {"error": type(e).__name__, "message": str(e)}
             return VerifyReport(name, statement, cases, passed, first,
                                 time.perf_counter() - t0, seed, scale)
         SUITES[name] = run

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import bdalg
+from bdalg import verify
 from bdalg.cli import VERBS, _dumps, main
 from bdalg.homalg import IntMatrix
 
@@ -318,6 +320,21 @@ def test_verify_deterministic_counts(capsys):
         assert r1[key] == r2[key]
 
 
+def test_verify_all_goes_on_after_a_check_raises(capsys, monkeypatch):
+    def raising(p):
+        raise ValueError("not a projection")
+
+    monkeypatch.setattr(verify, "k0_class", raising)
+    code, doc = run_json(capsys, "verify", "all", "--seed", "7", "--scale", "small")
+    assert code == 2
+    assert [r["suite"] for r in doc["reports"]] == list(verify.SUITES)
+    k0 = [r for r in doc["reports"] if not r["passed"]]
+    assert [r["suite"] for r in k0] == ["k0"]
+    assert (k0[0]["cases_run"], k0[0]["cases_passed"]) == (1, 0)
+    assert k0[0]["first_counterexample"] == {"error": "ValueError",
+                                             "message": "not a projection"}
+
+
 def test_bare_invocation_shows_help(capsys):
     code, out = run(capsys)
     assert code == 0
@@ -386,6 +403,74 @@ def test_cli_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_sn_chain_refuses_a_large_depth():
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdalg", "sn", "chain", "--s", '[[2,"inf"]]',
+         "--depth", "100000000"], capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == {"type": "ValueError", "message": "depth above 1000"}
+
+
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_cyc_eval_refuses_a_precision_below_one_bit(capsys, precision):
+    code, doc = run_json(capsys, "cyc", "eval", "--a", CYC, "--precision", precision)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+
+
+def modules_after(*argvs) -> set:
+    """The bdalg modules, and numpy if loaded, after a fresh interpreter
+    imports bdalg.cli and runs main on each argv in turn."""
+    code = ("import json, sys\n"
+            "from bdalg.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    main(list(argv))\n"
+            "print(json.dumps([m for m in sys.modules\n"
+            "                  if m in ('bdalg', 'numpy') or m.startswith('bdalg.')]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_sn_verb_loads_only_supernatural():
+    assert modules_after(("sn", "gcd", "--n", "10", "--s", SN)) == {
+        "bdalg", "bdalg.cli", "bdalg.supernatural"}
+
+
+def test_hom_verb_loads_neither_the_algebra_nor_verify():
+    loaded = modules_after(("hom", "snf", "--matrix", MAT))
+    assert "bdalg.homalg" in loaded
+    assert not loaded & {"bdalg.bd_algebra", "bdalg.verify"}
+
+
+def test_numpy_loads_only_for_the_numeric_verbs():
+    exact = [(g, v, *a) for g, v, a in ALL_VERBS if (g, v) not in {
+        ("bd", "norm"), ("bd", "spectrum")}]
+    assert "numpy" not in modules_after(*exact)
+    assert "numpy" in modules_after(("bd", "norm", "--a", BDE))
+
+
+def test_every_exported_name_resolves():
+    ns = {}
+    exec("from bdalg import *", ns)
+    assert set(bdalg.__all__) <= set(ns)
+    assert ns["SupernaturalNumber"] is sys.modules["bdalg.supernatural"].SupernaturalNumber
+    assert ns["run_suite"] is verify.run_suite
+
+
+def test_dir_lists_the_exports():
+    assert set(bdalg.__all__) <= set(dir(bdalg))
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        bdalg.nope
 
 
 def test_dumps_prints_integers_beyond_the_digit_limit():

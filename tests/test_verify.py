@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bdalg import DivisorChain, PhiFn, VerifyReport, run_suite
+from bdalg import DivisorChain, PhiFn, VerifyReport, run_suite, verify
 from bdalg.verify import SUITES, rand_phi
 
 
@@ -84,3 +84,40 @@ def test_injected_fault_is_reported_with_its_first_witness(monkeypatch):
         phi = PhiFn(chain, top + [-sum(top)])
         psi0 = rand_phi(rng, chain)
     assert rep.first_counterexample == {"phi": phi.to_json(), "psi0": psi0.to_json()}
+
+
+def raise_on_fourth_call(monkeypatch, wrong_first=False):
+    """Make verify's k0_class raise on its fourth call (l = 3, j = 0 in the k0
+    suite) and, with wrong_first, also answer its first call wrongly."""
+    k0_class = verify.k0_class
+    calls = []
+
+    def faulty(p):
+        calls.append(p)
+        if len(calls) == 4:
+            raise ValueError("not a projection")
+        cls = k0_class(p)
+        return cls + cls if wrong_first and len(calls) == 1 else cls
+
+    monkeypatch.setattr(verify, "k0_class", faulty)
+
+
+def test_exception_in_a_check_is_one_failing_case_that_ends_the_suite(monkeypatch):
+    raise_on_fourth_call(monkeypatch)
+    rep = SUITES["k0"](7, "small")
+    assert (rep.cases_run, rep.cases_passed) == (4, 3)
+    assert rep.first_counterexample == {"error": "ValueError", "message": "not a projection"}
+
+
+def test_exception_in_a_check_keeps_an_earlier_witness(monkeypatch):
+    raise_on_fourth_call(monkeypatch, wrong_first=True)
+    rep = SUITES["k0"](7, "small")
+    assert (rep.cases_run, rep.cases_passed) == (4, 2)
+    assert rep.first_counterexample == {"l": 1, "j": 0, "class": "2/1"}
+
+
+def test_exception_in_a_check_leaves_the_other_suites_running(monkeypatch):
+    raise_on_fourth_call(monkeypatch)
+    reports = run_suite("all", 7, "small")
+    assert [r.suite for r in reports] == list(SUITES)
+    assert [r.suite for r in reports if not r.passed] == ["k0"]
