@@ -14,11 +14,15 @@ the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
 sampled symbol is assembled from the complex values f_n(i) without forming
 the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
 exact MatrixSymbol serves only ``bd symbol`` and the *-homomorphism tests.
+The derivation levels j >= 1 of a norm carry no label 0, so they are sampled
+from delta(a), as the blocks its own labels allow, and every block's norm is
+the square root of the largest eigenvalue of its Gram matrix (_top_singular).
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
-window; only the diagonal case is exact.  Internally the estimates are carried
-as exact rationals so the two assembly rules for higher norms (binomial sum
-versus the recursion |a|_{M+1} = |a|_M + |delta(a)|_M) agree bit for bit.
+window, into which they are clamped; only the diagonal case is exact.
+Internally the estimates are carried as exact rationals so the two assembly
+rules for higher norms (binomial sum versus the recursion
+|a|_{M+1} = |a|_M + |delta(a)|_M) agree bit for bit.
 """
 from __future__ import annotations
 
@@ -357,7 +361,10 @@ class NormReport:
     window = (max_n (1+|n|)^M |f_n|_inf, sum_n (1+|n|)^M |f_n|_inf); at M = 0
     this is the usual bracket max |f_n| <= |a| <= sum |f_n|.  The sampled value
     sits inside the window whenever the sampling grid exceeds the Laurent power
-    span of the symbol, which operator_norm arranges automatically.
+    span of the symbol, which operator_norm arranges automatically: every
+    |f_n(i)| is a Fourier coefficient of a symbol entry, so at most the grid
+    maximum, and the upper end is the triangle inequality.  Rounding alone can
+    put the computed value a few ulps outside, so it is clamped into the window.
     """
 
     value: float
@@ -442,6 +449,9 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int):
     (g, n0) from _cosets and s = l/g, only the columns i = c (mod g) reach the
     rows c + n0 (mod g), so the symbol is stored as its g blocks of size s:
     block c holds the entry of row r, column i = c (mod g) at (r // g, i // g).
+    g comes from a's own labels, so an element without label 0 (delta(a),
+    which _base_norms samples for the norm levels j >= 1) can split into more
+    blocks than a itself.
     A block of grid points is a (points, g, s, s) array, assembled in place.
     Its per-label samples are computed once for all levels.  Yields (j, block)
     with one reused buffer, so each block must be used before the next step.
@@ -469,15 +479,42 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int):
             yield j, block
 
 
+def _top_singular(blocks, gram):
+    """The largest singular value of each s x s matrix B of the stack `blocks`
+    (shape (..., s, s)), as sqrt(lambda_max(B^H B)).
+
+    The Gram matrices B^H B are formed in `gram`, a buffer shaped like the
+    largest stack of a sampling and reused for each of its steps, and only
+    their eigenvalues are computed.  The largest is off by at most about
+    c * s * eps * |B|^2, so its square root is as accurate, relative to |B|,
+    as the top value of a singular value decomposition.  Rounding can leave it
+    slightly below 0, so it is clipped at 0.  1 x 1 blocks are their own
+    modulus.
+    """
+    np = _numpy()
+    s = blocks.shape[-1]
+    if s == 1:
+        return np.abs(blocks[..., 0, 0])
+    gram = gram[:len(blocks)]
+    np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
+    # LAPACK sees a plain stack of s x s matrices
+    lam = np.linalg.eigvalsh(gram.reshape(-1, s, s))[:, -1]
+    return np.sqrt(np.maximum(lam, 0.0)).reshape(blocks.shape[:-2])
+
+
 def _base_norms(a: BDElement, m: int, grid: int) -> list:
     """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
 
     A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
     the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
     is the largest singular value of its symbol maximized over
-    max(grid, 2 * max power + 1) circle points: the largest over the symbol's
-    blocks, or their largest modulus when they are 1 x 1.  The levels only
-    reweight the same sampled coefficients, which are evaluated once.
+    eff = max(grid, 2 * max power + 1) circle points: the largest over the
+    symbol's blocks (see _top_singular).  Level 0 samples a.  The levels
+    j >= 1 carry no label 0, whose weight is 0^j = 0, so they are levels
+    0..m-1 of delta(a), sampled at the same eff as the blocks its own labels
+    allow: for labels (-3, 0, 1) the symbol of a is one l x l block, but every
+    later level is gcd(l, 4) blocks.  Within each of the two samplings the
+    levels only reweight the same sampled coefficients, evaluated once.
     """
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
@@ -486,13 +523,15 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     _check_samples(m + 1, eff, a.period)
     np = _numpy()
     top = [0.0] * (m + 1)
-    for j, block in _symbol_blocks(a, eff, m + 1):
-        s = block.shape[-1]
-        if s == 1:
-            sv = np.abs(block)
-        else:  # LAPACK sees a plain stack of s x s matrices
-            sv = np.linalg.svd(block.reshape(-1, s, s), compute_uv=False)
-        top[j] = max(top[j], float(sv.max()))
+    sampled = [(0, _symbol_blocks(a, eff, 1))]
+    if m:
+        sampled.append((1, _symbol_blocks(a.delta_label(), eff, m)))
+    for first, blocks in sampled:
+        gram = None
+        for j, block in blocks:
+            if gram is None:
+                gram = np.empty_like(block)
+            top[first + j] = max(top[first + j], float(_top_singular(block, gram).max()))
     return [(Fraction(t), "grid-estimate", eff) for t in top]
 
 
@@ -501,13 +540,17 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     """Estimate the M-norm built from the label derivation.
 
     The base norms |delta^j(a)|, j = 0..m, are sampled straight from the
-    coefficients of a: delta^j only reweights label n by n^j, so the sampled
-    coefficients are shared by all levels and no delta^j(a) is built.  Each
-    symbol is sampled as the g blocks of size l/g that its labels allow (see
-    _symbol_blocks), and its norm is the largest of the blocks' norms.
+    coefficients: level 0 from a, and the levels j >= 1, which have no label
+    0, from delta(a).  delta^j only reweights label n by n^j, so within each
+    sampling the sampled coefficients are shared by its levels and no
+    delta^j(a) with j >= 2 is built.  Each symbol is sampled as the g blocks of
+    size l/g that its own labels allow (see _symbol_blocks), and its norm is
+    the largest of the blocks' top singular values, each the square root of
+    the largest eigenvalue of the block's Gram matrix (see _top_singular).
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
-    same exact base-norm values, so they agree bit for bit.
+    same exact base-norm values, so they agree bit for bit, also after the
+    value is clamped into its window (see NormReport).
 
     Levels m above _MAX_LEVEL, and sampling work (m + 1) * eff * l^2 above
     _MAX_SAMPLES, are refused with ValueError before anything is sampled.
@@ -527,7 +570,7 @@ def _assemble_norm(a: BDElement, parts: list, method: str) -> NormReport:
     """The M-norm report of a from its base norms |delta^j(a)|, j = 0..M, as
     listed by _base_norms; M is len(parts) - 1.  Every level shares one kind
     and one effective grid.  The values are exact Fractions, so both methods
-    give the same sum."""
+    give the same sum, and the same value once it is clamped into the window."""
     m = len(parts) - 1
     base = [p[0] for p in parts]
     if method == "binomial":
@@ -542,7 +585,8 @@ def _assemble_norm(a: BDElement, parts: list, method: str) -> NormReport:
         w = (1 + abs(n)) ** m * f.sup_norm()
         lower = max(lower, w)
         upper += w
-    return NormReport(float(value), kind, eff, (lower, upper))
+    # both ends bound the exact grid maximum, so only rounding puts it outside
+    return NormReport(min(max(float(value), lower), upper), kind, eff, (lower, upper))
 
 
 def spectrum_sample(a: BDElement, grid: int = 256) -> list:

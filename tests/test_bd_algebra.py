@@ -213,12 +213,12 @@ def test_sampling_uses_module_numpy(monkeypatch):
     monkeypatch.setattr(bd_algebra, "np", Numpy())
     operator_norm(a, grid=16)
     spectrum_sample(a, grid=16)
-    assert calls == ["svd", "eigvals"]
+    assert calls == ["eigvalsh", "eigvals"]
 
 
-def test_linalg_sees_stacks_of_blocks(monkeypatch):
-    # svd and eigvals get (matrices, s, s) stacks of the l/g-sized blocks, the
-    # shape a wrapper around bd_algebra.np.linalg (the benchmark tracer) reads
+def _record_linalg_shapes(monkeypatch) -> list:
+    """Wrap bd_algebra.np.linalg, as the benchmark tracer does, and return the
+    list that each call appends (name, shape of the first argument) to."""
     shapes = []
 
     class Linalg:
@@ -235,10 +235,52 @@ def test_linalg_sees_stacks_of_blocks(monkeypatch):
             return getattr(np, name)
 
     monkeypatch.setattr(bd_algebra, "np", Numpy())
+    return shapes
+
+
+def test_linalg_sees_stacks_of_blocks(monkeypatch):
+    # eigvalsh (of the Gram matrices) and eigvals get (matrices, s, s) stacks
+    # of the l/g-sized blocks
+    shapes = _record_linalg_shapes(monkeypatch)
     a = BDElement(S, {1: character(8, 1), 5: LocConstFn([2, 0, -1, 3, 1, 1, 2, 4])})
     operator_norm(a, grid=16)
     spectrum_sample(a, grid=16)
-    assert shapes == [("svd", (16 * 4, 2, 2)), ("eigvals", (16, 2, 2))]
+    assert shapes == [("eigvalsh", (16 * 4, 2, 2)), ("eigvals", (16, 2, 2))]
+
+
+def test_each_level_is_sampled_as_its_own_blocks(monkeypatch):
+    # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, but the
+    # later levels have no label 0, so g = gcd(24, 4) = 4 blocks of size 6
+    shapes = _record_linalg_shapes(monkeypatch)
+    a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
+    operator_norm(a, m=2, grid=16)
+    assert shapes == [("eigvalsh", (16, 24, 24))] + [("eigvalsh", (16 * 4, 6, 6))] * 2
+
+
+def _stack(rng, s: int, count: int) -> np.ndarray:
+    return rng.standard_normal((count, s, s)) + 1j * rng.standard_normal((count, s, s))
+
+
+@pytest.mark.parametrize("s", [2, 3, 6, 12, 24, 48])
+def test_top_singular_matches_svd(s):
+    # sqrt(lambda_max(B^H B)) against the top singular value from LAPACK's SVD,
+    # on generic, rank-1, nearly singular and all-zero blocks, weighted by up
+    # to 3^6 as the derivation levels weight them
+    rng = np.random.default_rng(1000 + s)
+    generic = _stack(rng, s, 20)
+    u, v = _stack(rng, s, 10)[:, :, :1], _stack(rng, s, 10)[:, :1, :]
+    rank1 = u @ v
+    near = generic[:10].copy()
+    near[:, :, -1] = near[:, :, 0] * (1 + 1e-12) + 1e-14 * _stack(rng, s, 10)[:, :, 0]
+    zero = np.zeros((5, s, s), dtype=complex)
+    weights = 3.0 ** rng.integers(0, 7, size=45)
+    x = np.concatenate([generic, rank1, near, zero]) * weights[:, None, None]
+    blocks = x.reshape(5, 9, s, s)
+    got = bd_algebra._top_singular(blocks, np.empty_like(blocks)).reshape(-1)
+    want = np.linalg.svd(x, compute_uv=False).max(axis=-1)
+    assert np.isfinite(got).all()
+    assert (got[-5:] == 0).all()
+    assert (np.abs(got - want) <= 1e-13 * want).all()
 
 
 def test_norm_u_powers_of_two():
@@ -256,6 +298,24 @@ def test_norm_methods_agree_bitwise():
             rr = operator_norm(a, m=m, grid=64, method="recursive")
             assert rb.value == rr.value
             assert rb.window == rr.window
+
+
+def test_norm_value_lies_in_its_window():
+    # both ends of the window bound the grid maximum, so the value sits inside
+    # it with no slack, also where rounding overshoots the upper end
+    rng = random.Random(59)
+    for _ in range(30):
+        a = rand_bd(rng, S, (1, 2, 3, 4, 6), max_n=4)
+        for m in range(7):
+            for method in ("binomial", "recursive"):
+                rep = operator_norm(a, m=m, grid=64, method=method)
+                assert rep.window[0] <= rep.value <= rep.window[1]
+    # M_chi2 + U at m = 3, and U^2 M_chi2 with |chi2| = 1: the sampled values
+    # round to 9 + 2^-49 and 1 + 2^-52 before they are clamped
+    rep = operator_norm(BDElement(S, {0: CHI2, 1: LocConstFn.constant(1)}), m=3)
+    assert (rep.value, rep.window) == (9.0, (8.0, 9.0))
+    rep = operator_norm(BDElement(S, {2: CHI2}))
+    assert (rep.value, rep.window) == (1.0, (1.0, 1.0))
 
 
 def test_norm_sandwich_and_fourier_contractivity():

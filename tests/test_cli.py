@@ -26,6 +26,7 @@ def run_json(capsys, *argv):
 SN = '[[2,"inf"],[3,"inf"]]'
 PROF = '{"chain":[2,4],"digits":[1,1]}'
 CYC = '{"order":4,"terms":[[1,"1"]]}'
+ONE = '{"period":1,"values":[{"order":1,"terms":[[0,"1"]]}]}'
 FN2 = ('{"period":2,"values":[{"order":1,"terms":[[0,"1"]]},'
        '{"order":1,"terms":[[0,"-1"]]}]}')
 BDE = '{"S":[[2,"inf"]],"period":2,"coeffs":{"1":' + FN2 + '}}'
@@ -212,6 +213,17 @@ def test_norm_command(capsys):
     assert code == 0
     assert doc["value"] == 2.0 and doc["kind"] == "exact"
     assert doc["window"] == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("coeffs, m", [
+    ('{"0":' + FN2 + ',"1":' + ONE + '}', "3"),  # M_chi + U
+    ('{"2":' + FN2 + '}', "0"),  # U^2 M_chi, |chi| = 1
+], ids=["m_chi-plus-u", "u2-m_chi"])
+def test_norm_value_lies_in_its_window(capsys, coeffs, m):
+    elt = '{"S":[[2,"inf"]],"period":2,"coeffs":' + coeffs + '}'
+    code, doc = run_json(capsys, "bd", "norm", "--a", elt, "--m", m)
+    assert code == 0
+    assert doc["window"][0] <= doc["value"] <= doc["window"][1]
 
 
 def test_hom_commands(capsys):
@@ -495,7 +507,6 @@ def test_long_integer_input_still_exits_1(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
-ONE = '{"period":1,"values":[{"order":1,"terms":[[0,"1"]]}]}'
 SHIFT = '{"S":[[2,"inf"]],"period":1,"coeffs":{"1":' + ONE + '}}'
 
 
