@@ -1,40 +1,34 @@
 """Command-line front end with stable JSON input and output.
 
-Subcommand groups mirror the library modules: sn (supernatural numbers),
-zs (odometer truncations), cyc (cyclotomic values), fn (periodic functions),
-bd (crossed-product elements), der (derivations), k (K invariants),
-hom (Smith form and Ext), plus `verify`, which runs the seeded suites of
-`bdalg.verify`.
+The groups mirror the library modules: sn (supernatural numbers), zs
+(odometer truncations), cyc (cyclotomic values), fn (periodic functions), bd
+(crossed-product elements), der (derivations), k (K invariants), hom (Smith
+form and Ext); `verify SUITE [--seed N] [--scale full|small]` runs the seeded
+suites of `bdalg.verify`.
 
 Every verb is one entry of the table `VERBS`: group -> verb -> (params,
 function, help).  A param is (name, reader) or (name, reader, default); the
 name is the option (`--chain-depth` for chain_depth) and the key in a `--json`
 document.  A reader is `_as_int`, `_as_fraction`, `_raw`, or the dotted name
 "module.Class" of a library class whose `from_json` parses the value; the
-function is a callable or the dotted name of a library function.  Dotted names
-are resolved when the verb runs, so a call imports only the modules its verb
-uses.  One dispatcher serves every entry: it gathers the options, reports
-missing required params, reads the values in declaration order, calls the
-function with them in that order, converts every value of the result that has
-`to_json()` (also inside dicts) and prints the document.
+function is a callable or the dotted name of a library function.  Dotted
+names are resolved when the verb runs, so a call imports only the modules its
+verb uses, and a wrapper installed on a module attribute (a profiler) sees it.
 
-Object-valued options take inline JSON; `--json FILE` (or `-` for stdin)
-supplies any missing options from a JSON document whose keys are the option
-names.  Unknown keys in that document are rejected.  Output is deterministic
-for a fixed request and seed: keys are sorted and floats are emitted with
-repr; verify reports additionally carry a wall-clock duration field.
-
-Exit codes: 0 success, 1 invalid input (with a structured error document),
-2 verification failure.
+`main` matches argv against the table with the standard library alone.  An
+option is `--opt value` or `--opt=value`; given twice, its last value counts.
+Values are JSON (text that is not JSON stays a string); `--json FILE` (`-` for
+stdin) supplies missing options from a JSON object keyed by option name.  The
+result is printed with `to_json()` applied, keys sorted and floats in repr
+(`--format pretty|compact`).  Exit codes: 0 success, 1 invalid input, usage
+errors included, with the document {"error": {"type", "message"}} (a usage
+error is a ValueError), 2 verification failure.
 """
 from __future__ import annotations
 
 import importlib
 import json
 import sys
-from fractions import Fraction
-
-import click
 
 
 def _dumps(doc, fmt: str) -> str:
@@ -50,41 +44,28 @@ def _dumps(doc, fmt: str) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-class _Exit2(Exception):
-    """Raised to signal a verification failure (exit code 2)."""
-
-
-def _load_json_file(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+def _value(text: str):
+    """An option's text read as JSON; text that is not JSON (a bare word such
+    as a mode name, a fraction) stays a string, so it needs no quoting."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def _gather(json_file, **inline) -> dict:
-    """Merge inline option values with a JSON document; inline wins.
-
-    Inline values arrive as strings and are parsed as JSON (bare words fall
-    back to plain strings, so --mode def works without quoting).
-    """
+    """Merge the option texts given inline with a JSON document; inline wins."""
     data = {}
-    if json_file:
-        loaded = _load_json_file(json_file)
-        if not isinstance(loaded, dict):
-            raise ValueError("--json document must be an object")
-        unknown = set(loaded) - set(inline)
-        if unknown:
-            raise ValueError(f"unknown fields in --json document: {sorted(unknown)}")
-        data.update(loaded)
-    for name, value in inline.items():
-        if value is not None:
-            if isinstance(value, str):
-                try:
-                    value = json.loads(value)
-                except json.JSONDecodeError:
-                    pass  # keep as a bare string (e.g. mode names, fractions)
-            data[name] = value
-    return data
+    if json_file == "-":
+        data = json.load(sys.stdin)
+    elif json_file:
+        with open(json_file) as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("--json document must be an object")
+    if set(data) - set(inline):
+        raise ValueError(f"unknown fields in --json document: {sorted(set(data) - set(inline))}")
+    return {**data, **{name: _value(text) for name, text in inline.items() if text is not None}}
 
 
 def _as_int(v, name: str) -> int:
@@ -95,6 +76,7 @@ def _as_int(v, name: str) -> int:
 
 def _as_fraction(v, name: str) -> Fraction:
     """An int, a "p/q" or decimal string, or a float read by its decimal repr."""
+    from fractions import Fraction  # only the verbs that read a rational pay for the import
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"{name} must be an exact rational")
     try:
@@ -136,10 +118,7 @@ def _mean_and_coboundary(c, g) -> dict:
     return {"C": str(rat) if rat is not None else c, "G": g}
 
 
-# Library objects are named "module.attr" and looked up with _lib when the
-# verb runs, so a call imports only the modules its verb uses, and a wrapper
-# installed on a module attribute at run time (a profiler, say) sees the
-# call.  A function that takes the params as they are is given by its name
+# A function that takes the params as they are is given by its dotted name
 # alone.  Short reader names keep each entry to a line or two.
 _SN, _DC, _ZS, _FN, _BD, _PHI, _CYC, _DER, _MAT = (
     "supernatural.SupernaturalNumber", "profinite.DivisorChain", "profinite.ProfiniteInt",
@@ -205,8 +184,7 @@ VERBS = {
         "fourier": ((("a", _BD), ("n", _INT)), lambda a, n: a.fourier_coefficient(n), None),
         "symbol": ((("a", _BD),), lambda a: a.matrix_symbol(), None),
         "norm": ((("a", _BD), ("m", _INT, 0), ("grid", _INT, 256), ("method", _raw, "binomial")),
-                 lambda a, m, grid, method: _lib("bd_algebra.operator_norm")(
-                     a, m=m, grid=grid, method=method),
+                 "bd_algebra.operator_norm",
                  "Norm report with the exact window bracket."),
         "trace": ((("a", _BD),), lambda a: a.trace(), None),
         "spectrum": ((("a", _BD), ("grid", _INT, 256)), lambda a, grid: {"points": [
@@ -261,6 +239,7 @@ VERBS = {
     },
 }
 
+_ROOT_HELP = "Exact computer algebra for odometer crossed-product algebras."
 _GROUP_HELP = {
     "sn": "Supernatural number arithmetic.",
     "zs": "Truncated odometer ring arithmetic.",
@@ -272,73 +251,94 @@ _GROUP_HELP = {
     "hom": "Smith normal form and Ext/Hom.",
 }
 
-_FMT_OPT = click.option("--format", "fmt", default="compact",
-                        type=click.Choice(["pretty", "compact"]))
+_COMMANDS = {**_GROUP_HELP, "verify": "Run a named property suite (or `all`); exits 2 on failure."}
+_FORMAT = {"--format": "[compact|pretty]"}
 
 
-def _command(verb: str, params: tuple, fn, help_text) -> click.Command:
-    """The click command that runs one table entry and prints its document."""
-    def run(json_file, fmt, **inline):
-        call = _lib(fn) if isinstance(fn, str) else fn
-        data = _gather(json_file, **inline)
-        missing = [name for name, _, *default in params if not default and name not in data]
-        if missing:
-            raise ValueError(f"missing required argument(s): {', '.join(missing)}")
-        args = [_read(reader, data.get(name, *default), name)
-                for name, reader, *default in params]
-        click.echo(_dumps(call(*args), fmt))
-
-    options = [click.Option([f"--{p[0].replace('_', '-')}", p[0]]) for p in params]
-    options.append(click.Option(["--json", "json_file"],
-                                help="JSON file (or - for stdin) supplying missing options."))
-    return _FMT_OPT(click.Command(verb, callback=run, params=options, help=help_text))
+def _help(usage: str, about, heading: str, rows) -> None:
+    """Print a help page (the usage line, the description, a table); exit 0."""
+    print(f"Usage: {usage}\n" + (f"\n  {about}\n" if about else "") + f"\n{heading}:\n" + "\n".join(
+        f"  {left:<16}{text or ''}".rstrip() for left, text in rows))
+    raise SystemExit(0)
 
 
-@click.group()
-def cli():
-    """Exact computer algebra for odometer crossed-product algebras."""
+def _pick(argv: list, prog: str, about, entries: dict) -> str:
+    """The command argv names in `entries`; the help for none or --help."""
+    if argv and argv[0] in entries:
+        return argv[0]
+    if argv and argv[0] != "--help":
+        raise ValueError(f"no such {'option' if argv[0][:1] == '-' else 'command'}: {argv[0]}")
+    _help(f"{prog} [OPTIONS] COMMAND [ARGS]...", about, "Commands", sorted(entries.items()))
 
 
-for _group, _verbs in VERBS.items():
-    cli.add_command(click.Group(_group, help=_GROUP_HELP[_group], commands=[
-        _command(verb, *entry) for verb, entry in _verbs.items()]))
+def _parse(argv: list, usage: str, about, flags: dict, nargs: int = 0) -> tuple:
+    """The options (flag -> last value) and the `nargs` positional arguments
+    of argv, or the help for --help.  `flags` maps each --flag to its metavar,
+    "[a|b]" for a choice; it takes the text after `=` or the next argument,
+    whatever that looks like."""
+    opts, args, rest = {}, [], iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if not arg.startswith("-") or arg == "-":
+            args.append(arg)
+        elif arg == "--help":
+            _help(usage, about, "Options", [*flags.items(), ("--help", "")])
+        elif flag not in flags:
+            raise ValueError(f"no such option: {flag}")
+        elif not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"option {flag} requires a value")
+        elif flags[flag][0] == "[" and value not in flags[flag][1:-1].split("|"):
+            raise ValueError(f"{flag} must be one of {flags[flag]}, not {value!r}")
+        else:
+            opts[flag] = value
+    if len(args) != nargs:
+        raise ValueError(f"expected {nargs} positional argument(s), got {len(args)}: {args}")
+    return opts, args
 
 
-@cli.command(name="verify")
-@click.argument("suite")
-@click.option("--seed", default=0, type=int)
-@click.option("--scale", default="full", type=click.Choice(["full", "small"]))
-@_FMT_OPT
-def _verify(suite, seed, scale, fmt):
-    """Run a named property suite (or `all`); exits 2 on failure."""
+def _run(prog: str, params: tuple, fn, about, argv: list) -> int:
+    """Run one table entry on its options and print its document."""
+    names = {f"--{name.replace('_', '-')}": name for name, *_ in params}
+    opts, _ = _parse(argv, f"{prog} [OPTIONS]", about,
+                     {**dict.fromkeys(names, "TEXT"), "--json": "FILE|-", **_FORMAT})
+    call = _lib(fn) if isinstance(fn, str) else fn
+    data = _gather(opts.get("--json"), **{name: opts.get(flag) for flag, name in names.items()})
+    if missing := [name for name, _, *default in params if not default and name not in data]:
+        raise ValueError(f"missing required argument(s): {', '.join(missing)}")
+    args = [_read(reader, data.get(name, *default), name) for name, reader, *default in params]
+    print(_dumps(call(*args), opts.get("--format", "compact")))
+    return 0
+
+
+def _verify(argv: list) -> int:
+    """Run a named suite (or `all`) and print its report; 2 if a case failed."""
+    opts, (suite,) = _parse(argv, "bdalg verify [OPTIONS] SUITE", _COMMANDS["verify"], {
+        "--seed": "INTEGER", "--scale": "[full|small]", **_FORMAT}, nargs=1)
+    seed, scale = _as_int(_value(opts.get("--seed", "0")), "--seed"), opts.get("--scale", "full")
     reports = _lib("verify.run_suite")(suite, seed=seed, scale=scale)
-    doc = {"suite": suite, "seed": seed, "scale": scale,
-           "passed": all(r.passed for r in reports),
+    doc = {"suite": suite, "seed": seed, "scale": scale, "passed": all(r.passed for r in reports),
            "cases_run": sum(r.cases_run for r in reports),
            "cases_passed": sum(r.cases_passed for r in reports),
            "duration_s": round(sum(r.duration_s for r in reports), 3),
            "reports": [r.to_json() for r in reports]}
-    click.echo(_dumps(doc, fmt))
-    if not doc["passed"]:
-        raise _Exit2()
+    print(_dumps(doc, opts.get("--format", "compact")))
+    return 0 if doc["passed"] else 2
 
 
 def main(argv=None) -> int:
+    """Run one call on its arguments (sys.argv[1:] by default); the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        rc = cli.main(args=argv, standalone_mode=False)
-        return int(rc) if isinstance(rc, int) else 0
-    except _Exit2:
-        return 2
-    except click.exceptions.Exit as e:
-        return 0 if e.exit_code == 0 else 1
-    except click.exceptions.NoArgsIsHelpError as e:
-        click.echo(e.format_message())
-        return 0
-    except (click.ClickException, ValueError, KeyError, ZeroDivisionError,
-            OverflowError, OSError, json.JSONDecodeError) as e:
-        msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
-        doc = {"error": {"type": type(e).__name__, "message": msg}}
-        click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        group = _pick(argv, "bdalg", _ROOT_HELP, _COMMANDS)
+        if group == "verify":
+            return _verify(argv[1:])
+        verb = _pick(argv[1:], f"bdalg {group}", _GROUP_HELP[group],
+                     {verb: entry[2] for verb, entry in VERBS[group].items()})
+        return _run(f"bdalg {group} {verb}", *VERBS[group][verb], argv[2:])
+    except SystemExit as done:  # a help page was printed
+        return done.code
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError, OSError) as e:
+        print(_dumps({"error": {"type": type(e).__name__, "message": str(e)}}, "compact"))
         return 1
 
 

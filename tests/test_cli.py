@@ -542,3 +542,63 @@ def test_float_overflow_exits_1_with_the_error_document(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "OverflowError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sn", "gcd", "--n", "10", "--s", SN, "--bogus", "1"),  # unknown option
+    ("sn", "gcd", "--n", "10", "--s"),  # an option with no value
+    ("sn", "gcd", "--n", "10", "--s", SN, "--format", "weird"),
+    ("nope", "gcd", "--n", "10"),  # unknown group
+    ("sn", "nope", "--n", "10"),  # unknown verb
+    ("sn", "gcd", "--n", "10", "--s", SN, "extra"),  # extra positional argument
+    ("verify", "all", "--seed", "x"),
+    ("verify", "all", "--scale", "medium"),
+    ("verify",),  # no suite
+    ("--format", "pretty"),  # the root takes no options
+], ids=["unknown-option", "no-value", "bad-format", "unknown-group", "unknown-verb",
+        "extra-positional", "bad-seed", "bad-scale", "no-suite", "root-option"])
+def test_usage_error_is_one_error_line(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_equals_form_matches_separate_value(capsys):
+    _, spaced = run(capsys, "sn", "gcd", "--n", "9", "--s", '[[3,"inf"]]')
+    assert run(capsys, "sn", "gcd", "--n=9", "--s=[[3,\"inf\"]]") == (0, spaced)
+    assert run(capsys, "sn", "gcd", "--n=9", "--s", '[[3,"inf"]]', "--format=compact") == (
+        0, spaced)
+
+
+def test_repeated_option_keeps_the_last_value(capsys):
+    code, doc = run_json(capsys, "sn", "gcd", "--n", "3", "--s", '[[3,"inf"]]', "--n", "9")
+    assert code == 0 and doc == {"gcd": 9}
+
+
+def test_option_value_may_start_with_a_dash(capsys):
+    code, doc = run_json(capsys, "zs", "embed", "--x", "-1", "--chain", "[2,4]")
+    assert code == 0 and doc == {"chain": [2, 4], "digits": [1, 1]}
+
+
+def test_verify_help_lists_its_options(capsys):
+    code, out = run(capsys, "verify", "--help")
+    assert code == 0 and out.startswith("Usage:")
+    assert all(f"--{name} " in out for name in ("seed", "scale", "format"))
+
+
+def test_help_option_at_the_root_and_group_levels(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0 and out.startswith("Usage:") and "verify" in out
+    code, out = run(capsys, "bd", "--help")
+    assert code == 0 and out.startswith("Usage:") and "spectrum" in out
+
+
+def test_cli_import_does_not_load_click():
+    # fractions is imported only by the verbs that read or compute rationals
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bdalg.cli; print(sorted({'click', 'fractions'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
