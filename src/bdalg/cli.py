@@ -29,12 +29,12 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+from fractions import Fraction
 
 
 def _dumps(doc, fmt: str) -> str:
-    """The JSON text of a result.  Integers print in full however long they
-    are: the int-to-str digit limit is lifted while the output is written,
-    and only then (parsing the input keeps it)."""
+    """The JSON text of a result.  Integers print in full however long: the int-to-str
+    digit limit is lifted while the output is written, not while the input is parsed."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -76,7 +76,6 @@ def _as_int(v, name: str) -> int:
 
 def _as_fraction(v, name: str) -> Fraction:
     """An int, a "p/q" or decimal string, or a float read by its decimal repr."""
-    from fractions import Fraction  # only the verbs that read a rational pay for the import
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"{name} must be an exact rational")
     try:
@@ -253,12 +252,13 @@ _GROUP_HELP = {
 
 _COMMANDS = {**_GROUP_HELP, "verify": "Run a named property suite (or `all`); exits 2 on failure."}
 _FORMAT = {"--format": "[compact|pretty]"}
+_JSON = {"--json": "FILE|-  JSON file (or - for stdin) supplying missing options."}
 
 
 def _help(usage: str, about, heading: str, rows) -> None:
     """Print a help page (the usage line, the description, a table); exit 0."""
-    print(f"Usage: {usage}\n" + (f"\n  {about}\n" if about else "") + f"\n{heading}:\n" + "\n".join(
-        f"  {left:<16}{text or ''}".rstrip() for left, text in rows))
+    sys.stdout.write(f"Usage: {usage}\n" + (f"\n  {about}\n" if about else "") + f"\n{heading}:\n"
+                     + "".join(f"  {left:<16}{text or ''}".rstrip() + "\n" for left, text in rows))
     raise SystemExit(0)
 
 
@@ -272,17 +272,16 @@ def _pick(argv: list, prog: str, about, entries: dict) -> str:
 
 
 def _parse(argv: list, usage: str, about, flags: dict, nargs: int = 0) -> tuple:
-    """The options (flag -> last value) and the `nargs` positional arguments
-    of argv, or the help for --help.  `flags` maps each --flag to its metavar,
-    "[a|b]" for a choice; it takes the text after `=` or the next argument,
-    whatever that looks like."""
+    """The options (flag -> last value) and the `nargs` positional arguments of argv,
+    or the help for --help.  `flags` maps each --flag to its metavar ("[a|b]" for a
+    choice); a flag takes the text after `=` or the next argument, whatever it is."""
     opts, args, rest = {}, [], iter(argv)
     for arg in rest:
         flag, eq, value = arg.partition("=")
         if not arg.startswith("-") or arg == "-":
             args.append(arg)
         elif arg == "--help":
-            _help(usage, about, "Options", [*flags.items(), ("--help", "")])
+            _help(usage, about, "Options", [*flags.items(), ("--help", "Show this message and exit.")])
         elif flag not in flags:
             raise ValueError(f"no such option: {flag}")
         elif not eq and (value := next(rest, None)) is None:
@@ -300,13 +299,13 @@ def _run(prog: str, params: tuple, fn, about, argv: list) -> int:
     """Run one table entry on its options and print its document."""
     names = {f"--{name.replace('_', '-')}": name for name, *_ in params}
     opts, _ = _parse(argv, f"{prog} [OPTIONS]", about,
-                     {**dict.fromkeys(names, "TEXT"), "--json": "FILE|-", **_FORMAT})
+                     {**dict.fromkeys(names, "TEXT"), **_JSON, **_FORMAT})
     call = _lib(fn) if isinstance(fn, str) else fn
     data = _gather(opts.get("--json"), **{name: opts.get(flag) for flag, name in names.items()})
     if missing := [name for name, _, *default in params if not default and name not in data]:
         raise ValueError(f"missing required argument(s): {', '.join(missing)}")
     args = [_read(reader, data.get(name, *default), name) for name, reader, *default in params]
-    print(_dumps(call(*args), opts.get("--format", "compact")))
+    sys.stdout.write(_dumps(call(*args), opts.get("--format", "compact")) + "\n")
     return 0
 
 
@@ -321,7 +320,7 @@ def _verify(argv: list) -> int:
            "cases_passed": sum(r.cases_passed for r in reports),
            "duration_s": round(sum(r.duration_s for r in reports), 3),
            "reports": [r.to_json() for r in reports]}
-    print(_dumps(doc, opts.get("--format", "compact")))
+    sys.stdout.write(_dumps(doc, opts.get("--format", "compact")) + "\n")
     return 0 if doc["passed"] else 2
 
 
@@ -338,7 +337,8 @@ def main(argv=None) -> int:
     except SystemExit as done:  # a help page was printed
         return done.code
     except (ValueError, KeyError, ZeroDivisionError, OverflowError, OSError) as e:
-        print(_dumps({"error": {"type": type(e).__name__, "message": str(e)}}, "compact"))
+        doc = {"error": {"type": type(e).__name__, "message": str(e)}}
+        sys.stdout.write(_dumps(doc, "compact") + "\n")
         return 1
 
 

@@ -587,6 +587,12 @@ def test_verify_help_lists_its_options(capsys):
     assert all(f"--{name} " in out for name in ("seed", "scale", "format"))
 
 
+def test_verb_help_describes_json(capsys):
+    code, out = run(capsys, "sn", "chain", "--help")
+    assert code == 0 and "JSON file (or - for stdin) supplying missing options." in out
+    assert "--help          Show this message and exit." in out
+
+
 def test_help_option_at_the_root_and_group_levels(capsys):
     code, out = run(capsys, "--help")
     assert code == 0 and out.startswith("Usage:") and "verify" in out
@@ -595,10 +601,8 @@ def test_help_option_at_the_root_and_group_levels(capsys):
 
 
 def test_cli_import_does_not_load_click():
-    # fractions is imported only by the verbs that read or compute rationals
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bdalg.cli; print(sorted({'click', 'fractions'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import sys, bdalg.cli; print('click' in sys.modules)"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "False"
