@@ -15,8 +15,10 @@ sampled symbol is assembled from the complex values f_n(i) without forming
 the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
 exact MatrixSymbol serves only ``bd symbol`` and the *-homomorphism tests.
 The derivation levels j >= 1 of a norm carry no label 0, so they are sampled
-from delta(a), as the blocks its own labels allow, and every block's norm is
-the square root of the largest eigenvalue of its Gram matrix (_top_singular).
+from a's own coefficients weighted by n^j, without label 0 and as the blocks
+the other labels allow; delta(a) is never built.  Every block's norm is the
+square root of the largest eigenvalue of its Gram matrix (_top_singular), in
+closed form for 3 x 3 blocks and from LAPACK's eigvalsh otherwise.
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window, into which they are clamped; only the diagonal case is exact.
@@ -404,6 +406,11 @@ _MAX_LEVEL = 64
 _MAX_SAMPLES = 1 << 26
 
 
+def _check_grid(grid):
+    if not _is_int(grid) or grid < 16:
+        raise ValueError("grid must be an integer of at least 16")
+
+
 def _check_samples(levels: int, points: int, l: int):
     if levels * points * l * l > _MAX_SAMPLES:
         raise ValueError(f"sampling {levels} level(s) at {points} grid points of the "
@@ -428,43 +435,45 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _cosets(a: BDElement) -> tuple:
-    """(g, n0): n0 the smallest label (0 without labels) and g the gcd of the
-    period l with every difference n - n0.
+def _cosets(l: int, labels) -> tuple:
+    """(g, n0): n0 the smallest of the labels (0 without labels) and g the gcd
+    of the period l with every difference n - n0.
 
     Every label is n0 mod g, so the symbol maps the columns i = c (mod g) into
     the rows c + n0 (mod g): it is a permutation of g blocks of size l/g.
     """
-    labels = sorted(a.coeffs)
+    labels = sorted(labels)
     n0 = labels[0] if labels else 0
-    return math.gcd(a.period, *(n - n0 for n in labels)), n0
+    return math.gcd(l, *(n - n0 for n in labels)), n0
 
 
-def _symbol_blocks(a: BDElement, grid: int, levels: int):
-    """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, j < levels, at
-    the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
+def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0):
+    """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, first <= j <
+    levels, at the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
 
     J^n M_f has the entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i;
     labels congruent mod l land on the same entries and are summed.  With
     (g, n0) from _cosets and s = l/g, only the columns i = c (mod g) reach the
     rows c + n0 (mod g), so the symbol is stored as its g blocks of size s:
     block c holds the entry of row r, column i = c (mod g) at (r // g, i // g).
-    g comes from a's own labels, so an element without label 0 (delta(a),
-    which _base_norms samples for the norm levels j >= 1) can split into more
-    blocks than a itself.
+    From first = 1 on, label 0, whose weight is 0^j = 0, is dropped and g
+    comes from the remaining labels, so the levels j >= 1 can split into more
+    blocks than level 0.
     A block of grid points is a (points, g, s, s) array, assembled in place.
-    Its per-label samples are computed once for all levels.  Yields (j, block)
-    with one reused buffer, so each block must be used before the next step.
+    Its per-label samples are computed once for all levels, and level j weights
+    label n by n^j.  Yields (j, block) with one reused buffer, so each block
+    must be used before the next step.
     """
     np = _numpy()
     l = a.period
-    g = _cosets(a)[0]
+    coeffs = {n: f for n, f in a.coeffs.items() if n or not first}
+    g = _cosets(l, coeffs)[0]
     s = l // g
     cols = np.arange(l)
     values = [(n, np.array([v.to_complex() for v in f.values], dtype=complex))
-              for n, f in sorted(a.coeffs.items())]
+              for n, f in sorted(coeffs.items())]
     cb, cc = cols % g, cols // g
-    rows = {n % l: (cols + n) % l // g for n in a.coeffs}
+    rows = {n % l: (cols + n) % l // g for n in coeffs}
     step = max(1, _BLOCK_BYTES // (16 * l * s))
     buf = np.zeros((min(step, grid), g, s, s), dtype=complex)
     for k0 in range(0, grid, step):
@@ -473,10 +482,49 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int):
         for n, vals in values:
             classes.setdefault(n % l, []).append((n, vals * z[:, None] ** ((cols + n) // l)))
         block = buf[:len(z)]
-        for j in range(levels):
+        for j in range(first, levels):
             for r, parts in classes.items():
                 block[:, cb, rows[r], cc] = sum(n ** j * smp for n, smp in parts)
             yield j, block
+
+
+# A 3 x 3 Gram matrix whose r = det(G - qI) / (2 p^3) is below this has a
+# nearly double top eigenvalue, where the closed form loses about half its
+# digits; those matrices go to eigvalsh.
+_NEAR_DOUBLE = -1 + 1e-4
+
+
+def _top_eigenvalue3(gram):
+    """The largest eigenvalue of each Hermitian 3 x 3 matrix of the stack
+    `gram` (shape (matrices, 3, 3)), by the trigonometric closed form
+    (O. K. Smith, Comm. ACM 4(4), 1961).
+
+    With q = tr(G)/3, p = |G - qI|_F / sqrt(6) and r = det(G - qI) / (2 p^3)
+    clipped to [-1, 1], the eigenvalues are q + 2p cos((arccos(r) + 2 pi k)/3)
+    and the largest is k = 0.  Each matrix is first scaled, exactly, by a
+    power of two near 1 / trace, so no power overflows; a matrix with p = 0
+    is qI.  Near r = -1 the top two eigenvalues meet and the cosine's slope in
+    r is unbounded, so the matrices with r < _NEAR_DOUBLE are sent to one
+    eigvalsh call instead, as in J. Kopp's hybrid (Int. J. Mod. Phys. C 19,
+    2008).
+    """
+    np = _numpy()
+    x = gram.reshape(-1, 9)
+    trace = x[:, 0].real + x[:, 4].real + x[:, 8].real
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(trace)[1], 1000))
+    q = trace * scale / 3
+    a, b, c = (x[:, k].real * scale - q for k in (0, 4, 8))
+    d, e, f = (x[:, k] * scale for k in (1, 2, 5))
+    dd, ee, ff = [w.real ** 2 + w.imag ** 2 for w in (d, e, f)]
+    p = np.sqrt((a * a + b * b + c * c + 2 * (dd + ee + ff)) / 6)
+    det = a * b * c + 2 * (d * f * e.conj()).real - a * ff - b * ee - c * dd
+    den = 2 * p ** 3
+    r = np.clip(np.divide(det, den, out=np.zeros_like(det), where=den > 0), -1, 1)
+    lam = (q + 2 * p * np.cos(np.arccos(r) / 3)) / scale
+    near = np.flatnonzero(r < _NEAR_DOUBLE)
+    if near.size:
+        lam[near] = np.linalg.eigvalsh(gram.reshape(-1, 3, 3)[near])[:, -1]
+    return lam
 
 
 def _top_singular(blocks, gram):
@@ -485,11 +533,13 @@ def _top_singular(blocks, gram):
 
     The Gram matrices B^H B are formed in `gram`, a buffer shaped like the
     largest stack of a sampling and reused for each of its steps, and only
-    their eigenvalues are computed.  The largest is off by at most about
-    c * s * eps * |B|^2, so its square root is as accurate, relative to |B|,
-    as the top value of a singular value decomposition.  Rounding can leave it
-    slightly below 0, so it is clipped at 0.  1 x 1 blocks are their own
-    modulus.
+    their top eigenvalue is computed: for s = 3 by the closed form of
+    _top_eigenvalue3, which hands only the nearly double ones to eigvalsh,
+    and for every other s by eigvalsh on the whole stack.  The largest is off
+    by at most about c * s * eps * |B|^2, so its square root is as accurate,
+    relative to |B|, as the top value of a singular value decomposition.
+    Rounding can leave it slightly below 0, so it is clipped at 0.  1 x 1
+    blocks are their own modulus.
     """
     np = _numpy()
     s = blocks.shape[-1]
@@ -497,8 +547,10 @@ def _top_singular(blocks, gram):
         return np.abs(blocks[..., 0, 0])
     gram = gram[:len(blocks)]
     np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
-    # LAPACK sees a plain stack of s x s matrices
-    lam = np.linalg.eigvalsh(gram.reshape(-1, s, s))[:, -1]
+    if s == 3:
+        lam = _top_eigenvalue3(gram)
+    else:  # LAPACK sees a plain stack of s x s matrices
+        lam = np.linalg.eigvalsh(gram.reshape(-1, s, s))[:, -1]
     return np.sqrt(np.maximum(lam, 0.0)).reshape(blocks.shape[:-2])
 
 
@@ -509,12 +561,13 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
     is the largest singular value of its symbol maximized over
     eff = max(grid, 2 * max power + 1) circle points: the largest over the
-    symbol's blocks (see _top_singular).  Level 0 samples a.  The levels
-    j >= 1 carry no label 0, whose weight is 0^j = 0, so they are levels
-    0..m-1 of delta(a), sampled at the same eff as the blocks its own labels
-    allow: for labels (-3, 0, 1) the symbol of a is one l x l block, but every
-    later level is gcd(l, 4) blocks.  Within each of the two samplings the
-    levels only reweight the same sampled coefficients, evaluated once.
+    symbol's blocks (see _top_singular).  Level 0 is one sampling of a; the
+    levels j >= 1 are a second sampling of a's own coefficients, weighted by
+    n^j, at the same eff.  They carry no label 0, so that sampling drops it
+    and is split into the blocks the other labels allow: for labels
+    (-3, 0, 1) the symbol of a is one l x l block, but every later level is
+    gcd(l, 4) blocks.  No delta^j(a) is built; within each sampling the levels
+    only reweight the same sampled coefficients, evaluated once.
     """
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
@@ -523,15 +576,15 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     _check_samples(m + 1, eff, a.period)
     np = _numpy()
     top = [0.0] * (m + 1)
-    sampled = [(0, _symbol_blocks(a, eff, 1))]
+    sampled = [_symbol_blocks(a, eff, 1)]
     if m:
-        sampled.append((1, _symbol_blocks(a.delta_label(), eff, m)))
-    for first, blocks in sampled:
+        sampled.append(_symbol_blocks(a, eff, m + 1, first=1))
+    for blocks in sampled:
         gram = None
         for j, block in blocks:
             if gram is None:
                 gram = np.empty_like(block)
-            top[first + j] = max(top[first + j], float(_top_singular(block, gram).max()))
+            top[j] = max(top[j], float(_top_singular(block, gram).max()))
     return [(Fraction(t), "grid-estimate", eff) for t in top]
 
 
@@ -539,26 +592,27 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
                   method: str = "binomial") -> NormReport:
     """Estimate the M-norm built from the label derivation.
 
-    The base norms |delta^j(a)|, j = 0..m, are sampled straight from the
-    coefficients: level 0 from a, and the levels j >= 1, which have no label
-    0, from delta(a).  delta^j only reweights label n by n^j, so within each
-    sampling the sampled coefficients are shared by its levels and no
-    delta^j(a) with j >= 2 is built.  Each symbol is sampled as the g blocks of
-    size l/g that its own labels allow (see _symbol_blocks), and its norm is
-    the largest of the blocks' top singular values, each the square root of
-    the largest eigenvalue of the block's Gram matrix (see _top_singular).
+    The base norms |delta^j(a)|, j = 0..m, are sampled straight from a's
+    coefficients, and no delta^j(a) is built: delta^j only reweights label n
+    by n^j.  Level 0 is one sampling; the levels j >= 1, which have no label
+    0, are a second one without it, and within each sampling the sampled
+    coefficients are shared by its levels.  Each symbol is sampled as the g
+    blocks of size l/g that its own labels allow (see _symbol_blocks), and its
+    norm is the largest of the blocks' top singular values, each the square
+    root of the largest eigenvalue of the block's Gram matrix: in closed form
+    for 3 x 3 blocks, from eigvalsh otherwise (see _top_singular).
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the
     value is clamped into its window (see NormReport).
 
+    m and grid must be plain integers (bool refused), m >= 0 and grid >= 16.
     Levels m above _MAX_LEVEL, and sampling work (m + 1) * eff * l^2 above
     _MAX_SAMPLES, are refused with ValueError before anything is sampled.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
-    if m < 0:
-        raise ValueError("norm level must be nonnegative")
+    _check_grid(grid)
+    if not _is_int(m) or m < 0:
+        raise ValueError("norm level must be a nonnegative integer")
     if m > _MAX_LEVEL:
         raise ValueError(f"norm level above {_MAX_LEVEL}")
     if method not in ("binomial", "recursive"):
@@ -601,17 +655,16 @@ def spectrum_sample(a: BDElement, grid: int = 256) -> list:
     B_(c_(k-1)) ... B_(c_0).  Each factor is divided by its largest modulus
     before the product, and the k-th root of the product of those scales is
     put back factor by factor, so no product overflows.  The l eigenvalues of
-    a grid point come out cycle by cycle; grid * l * l above _MAX_SAMPLES is
-    refused with ValueError.
+    a grid point come out cycle by cycle.  grid must be a plain integer of at
+    least 16, and grid * l * l above _MAX_SAMPLES is refused with ValueError.
 
     For normal elements this samples the spectrum; the output is a plain
     sample, not a certified enclosure.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    _check_grid(grid)
     _check_samples(1, grid, a.period)
     np = _numpy()
-    g, n0 = _cosets(a)
+    g, n0 = _cosets(a.period, a.coeffs)
     s = a.period // g
     h = math.gcd(g, n0)
     k = g // h

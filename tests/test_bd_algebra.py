@@ -257,12 +257,40 @@ def test_each_level_is_sampled_as_its_own_blocks(monkeypatch):
     assert shapes == [("eigvalsh", (16, 24, 24))] + [("eigvalsh", (16 * 4, 6, 6))] * 2
 
 
+def test_three_by_three_levels_skip_eigvalsh(monkeypatch):
+    # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
+    # levels four 3 x 3 blocks, sampled from a's own coefficients without
+    # label 0 (delta(a) is not built); their top eigenvalues come in closed
+    # form, and none of these is nearly double, so only level 0 reaches eigvalsh
+    a = BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)})
+    levels = [(j, b.shape) for j, b in bd_algebra._symbol_blocks(a, 16, 3, first=1)]
+    assert levels == [(1, (16, 4, 3, 3)), (2, (16, 4, 3, 3))]
+    shapes = _record_linalg_shapes(monkeypatch)
+    monkeypatch.setattr(BDElement, "delta_label", None)
+    operator_norm(a, m=2, grid=16)
+    assert shapes == [("eigvalsh", (16, 12, 12))]
+
+
 def _stack(rng, s: int, count: int) -> np.ndarray:
     return rng.standard_normal((count, s, s)) + 1j * rng.standard_normal((count, s, s))
 
 
+def _unitary(rng, s: int, count: int) -> np.ndarray:
+    return np.linalg.qr(_stack(rng, s, count))[0]
+
+
+def _double_pairs(rng, lam: float, mu: float) -> np.ndarray:
+    """3 x 3 blocks B = V diag(sigma) Q^H, so that B^H B = Q diag(lam,
+    lam (1 + eps), mu) Q^H, one per eps: the pair lam, lam (1 + eps) is the
+    top of the spectrum when mu < lam and its bottom when mu > lam."""
+    eps = np.array([0, 1e-9, 1e-6, 1e-4, 1e-3])
+    sigma = np.sqrt(np.stack([np.full(5, lam), lam * (1 + eps), np.full(5, mu)], axis=1))
+    v, q = _unitary(rng, 3, 5), _unitary(rng, 3, 5)
+    return v * sigma[:, None, :] @ q.conj().swapaxes(1, 2)
+
+
 @pytest.mark.parametrize("s", [2, 3, 6, 12, 24, 48])
-def test_top_singular_matches_svd(s):
+def test_top_singular_matches_svd(s, monkeypatch):
     # sqrt(lambda_max(B^H B)) against the top singular value from LAPACK's SVD,
     # on generic, rank-1, nearly singular and all-zero blocks, weighted by up
     # to 3^6 as the derivation levels weight them
@@ -273,11 +301,19 @@ def test_top_singular_matches_svd(s):
     near = generic[:10].copy()
     near[:, :, -1] = near[:, :, 0] * (1 + 1e-12) + 1e-14 * _stack(rng, s, 10)[:, :, 0]
     zero = np.zeros((5, s, s), dtype=complex)
-    weights = 3.0 ** rng.integers(0, 7, size=45)
-    x = np.concatenate([generic, rank1, near, zero]) * weights[:, None, None]
-    blocks = x.reshape(5, 9, s, s)
+    stacks = [generic, rank1, near]
+    if s == 3:
+        # the closed form for 3 x 3 Gram matrices loses digits where the top
+        # eigenvalue is (nearly) double, so exactly those 10 go to eigvalsh;
+        # a double bottom pair keeps the closed form
+        stacks += [_double_pairs(rng, 4.0, mu) for mu in (0.0, 1.0, 9.0, 25.0)]
+    x = np.concatenate(stacks + [zero])
+    x *= 3.0 ** rng.integers(0, 7, size=len(x))[:, None, None]
+    blocks = x.reshape(5, -1, s, s)
+    shapes = _record_linalg_shapes(monkeypatch)
     got = bd_algebra._top_singular(blocks, np.empty_like(blocks)).reshape(-1)
     want = np.linalg.svd(x, compute_uv=False).max(axis=-1)
+    assert shapes == [("eigvalsh", (10, 3, 3) if s == 3 else (len(x), s, s))]
     assert np.isfinite(got).all()
     assert (got[-5:] == 0).all()
     assert (np.abs(got - want) <= 1e-13 * want).all()
@@ -361,6 +397,10 @@ def _reference_norm(a: BDElement, m: int, grid: int):
     return value, kind, max(p[2] for p in parts)
 
 
+def _big(l: int, scale: int, k: int = 1) -> LocConstFn:
+    return LocConstFn([root_of_unity(k * i, 12) * (scale + 3 * i) for i in range(l)])
+
+
 NUMERIC_CASES = [
     # labels congruent mod l, one of them 0
     BDElement(S, {1: CHI4, 5: LocConstFn([1, 2, 3, 4]), -3: F, 0: G, 4: CHI2}),
@@ -381,6 +421,10 @@ NUMERIC_CASES = [
     BDElement(S, {1: character(8, 1), 5: LocConstFn([2, 0, -1, 3, 1, 1, Fraction(-3, 2), 4])}),
     # two cycles of length 2 (g = 4, n0 = 2)
     BDElement(S, {2: LocConstFn([1, 2, 3, 4, 5, 6, 7, 8]), 6: character(8, 5)}),
+    # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
+    # levels four 3 x 3 blocks, sampled from the coefficients without label 0
+    # and normed by the closed form
+    BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)}),
     # one label at l = 6: three cycles of two 1 x 1 blocks (g = 6, n0 = 3)
     BDElement(S, {3: LocConstFn([1, -2, root_of_unity(1, 3), 4, Fraction(1, 3), -1])}),
     # exact short-circuits
@@ -411,10 +455,6 @@ def test_numeric_path_matches_exact_symbol(a, block_bytes, monkeypatch):
             assert np.allclose(np.poly(g), np.poly(w), rtol=0, atol=1e-12 * scale)
 
 
-def _big(l: int, scale: int, k: int = 1) -> LocConstFn:
-    return LocConstFn([root_of_unity(k * i, 12) * (scale + 3 * i) for i in range(l)])
-
-
 @pytest.mark.parametrize("a", [
     BDElement(S, {-1: _big(24, 1), 3: character(24, 5)}),
     BDElement(S, {-2: _big(48, 2), 2: character(48, 7), 6: _big(48, 5, 5)}),
@@ -441,6 +481,15 @@ def test_spectrum_power_sums_match_traces(a):
 def test_norm_rejects_small_grid():
     with pytest.raises(ValueError):
         operator_norm(U, grid=8)
+    # grid and m are plain integers: no float, and no bool as level 1
+    diag = BDElement.mult_op(S, F)
+    for kw in ({"grid": 16.5}, {"grid": 64.0}, {"grid": True}, {"m": 1.0}, {"m": True}):
+        for a in (U, diag):
+            with pytest.raises(ValueError):
+                operator_norm(a, **kw)
+    for grid in (8, 16.5, 64.0, True):
+        with pytest.raises(ValueError):
+            spectrum_sample(U, grid=grid)
 
 
 def test_sampling_work_is_bounded():
