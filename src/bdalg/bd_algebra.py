@@ -447,7 +447,15 @@ def _cosets(l: int, labels) -> tuple:
     return math.gcd(l, *(n - n0 for n in labels)), n0
 
 
-def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0):
+def _complex_values(a: BDElement) -> dict:
+    """The values of each coefficient of a as a complex array, by label."""
+    np = _numpy()
+    return {n: np.array([v.to_complex() for v in f.values], dtype=complex)
+            for n, f in a.coeffs.items()}
+
+
+def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
+                   values: dict | None = None):
     """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, first <= j <
     levels, at the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
 
@@ -461,8 +469,9 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0):
     blocks than level 0.
     A block of grid points is a (points, g, s, s) array, assembled in place.
     Its per-label samples are computed once for all levels, and level j weights
-    label n by n^j.  Yields (j, block) with one reused buffer, so each block
-    must be used before the next step.
+    label n by n^j.  `values` are a's values from _complex_values, converted
+    here when not given.  Yields (j, block) with one reused buffer, so each
+    block must be used before the next step.
     """
     np = _numpy()
     l = a.period
@@ -470,8 +479,9 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0):
     g = _cosets(l, coeffs)[0]
     s = l // g
     cols = np.arange(l)
-    values = [(n, np.array([v.to_complex() for v in f.values], dtype=complex))
-              for n, f in sorted(coeffs.items())]
+    if values is None:
+        values = _complex_values(a)
+    values = [(n, values[n]) for n in sorted(coeffs)]
     cb, cc = cols % g, cols // g
     rows = {n % l: (cols + n) % l // g for n in coeffs}
     step = max(1, _BLOCK_BYTES // (16 * l * s))
@@ -567,7 +577,8 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     and is split into the blocks the other labels allow: for labels
     (-3, 0, 1) the symbol of a is one l x l block, but every later level is
     gcd(l, 4) blocks.  No delta^j(a) is built; within each sampling the levels
-    only reweight the same sampled coefficients, evaluated once.
+    only reweight the same sampled coefficients, and both samplings share one
+    conversion of a's values to complex numbers.
     """
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
@@ -576,9 +587,10 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     _check_samples(m + 1, eff, a.period)
     np = _numpy()
     top = [0.0] * (m + 1)
-    sampled = [_symbol_blocks(a, eff, 1)]
+    values = _complex_values(a)
+    sampled = [_symbol_blocks(a, eff, 1, values=values)]
     if m:
-        sampled.append(_symbol_blocks(a, eff, m + 1, first=1))
+        sampled.append(_symbol_blocks(a, eff, m + 1, first=1, values=values))
     for blocks in sampled:
         gram = None
         for j, block in blocks:

@@ -6,7 +6,10 @@ pivot is the entry of smallest absolute value in the remaining block (then
 smallest row, then smallest column); its column and then its row are cleared
 by nearest-integer quotients, the smallest remainder taking over as pivot, so
 the output is deterministic.  D is unique; U and V are one valid pair of many.
-Everything is exact integer arithmetic; the matrices here are desk scale.
+Each working row stores only the unfinished columns of the active block, which
+shrinks by one column per final pivot, followed by its row of U (the border);
+V is kept transposed, one row per column.  Everything is exact integer
+arithmetic; the matrices here are desk scale.
 
 Two identities relevant to the odometer algebras involve groups that are not
 finitely generated and have no faithful finite presentation, so they are
@@ -33,8 +36,12 @@ class IntMatrix:
     entries: tuple  # row-major tuple of tuples
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if not all(_is_int(d) and d >= 0 for d in (self.rows, self.cols)):
+            raise ValueError("matrix dimensions must be nonnegative integers")
+        if not isinstance(self.entries, (tuple, list)) or not all(
+                isinstance(r, (tuple, list)) for r in self.entries):
+            raise ValueError("entries must be a sequence of rows")
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match the declared shape")
         for r in self.entries:
@@ -116,6 +123,9 @@ class FGAbelianGroup:
     def __post_init__(self):
         if not _is_int(self.rank) or self.rank < 0:
             raise ValueError("rank must be a nonnegative integer")
+        if not isinstance(self.torsion, (tuple, list)):
+            raise ValueError("torsion must be a list")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = 1
         for d in self.torsion:
             if not _is_int(d) or d < 2 or d % prev != 0:
@@ -129,62 +139,72 @@ class FGAbelianGroup:
     def from_json(cls, obj) -> "FGAbelianGroup":
         if not isinstance(obj, dict) or set(obj) != {"rank", "torsion"}:
             raise ValueError('group must be {"rank": r, "torsion": [...]}')
-        if not isinstance(obj["torsion"], list):
-            raise ValueError("torsion must be a list")
-        return cls(obj["rank"], tuple(obj["torsion"]))
+        return cls(obj["rank"], obj["torsion"])
 
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
 
 
-def _diagonalize(w, vt, m, n) -> None:
-    """Bring the left m x n block of the row list w to Smith form in place.
+def _diagonalize(w, vt, m, n) -> list:
+    """Bring the m x n matrix at the left of the row list w to Smith form and
+    return its nonzero diagonal; a border after it (U) ends every row of w.
 
-    A row operation rewrites a whole row of w, so a border to the right of
-    the block (U) follows it; a column operation rewrites that column in the
-    rows not yet finished and the matching row of vt (the transpose of V).
+    Before pivot t, rows t.. hold columns t..n-1 of the active block and then
+    the border, so a row operation carries the border along.  Once pivot t is
+    final, row t is left as it is and every later row drops its leading entry,
+    which is zero.  A column operation rewrites the pivot row, the only
+    nonzero entry in its column, and the matching row of vt (V transposed).
     """
-    t = 0
+    diag, t = [], 0
     while t < min(m, n):
-        pivot = min(((abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n)
-                     if w[i][j]), default=None)
-        if pivot is None:
-            return
-        _, i, j = pivot
+        piv = None  # (|x|, row): smallest |x|, then row, then column
+        for i in range(t, m):
+            v = min(filter(None, map(abs, w[i][:n - t])), default=0)
+            if v and (piv is None or v < piv[0]):
+                piv = (v, i)
+                if v == 1:
+                    break
+        if piv is None:
+            break
+        v, i = piv
         w[t], w[i] = w[i], w[t]
+        j = list(map(abs, w[t][:n - t])).index(v)
         while j is not None:  # bring column j in as column t, then clear column t and row t
             for r in w[t:]:
-                r[t], r[j] = r[j], r[t]
-            vt[t], vt[j] = vt[j], vt[t]
+                r[0], r[j] = r[j], r[0]
+            vt[t], vt[t + j] = vt[t + j], vt[t]
             while True:  # the smallest remainder in column t becomes the pivot
-                top, p, best = w[t], w[t][t], None
+                top, p, best = w[t], w[t][0], None
                 for i in range(t + 1, m):
-                    if w[i][t]:
-                        q = (2 * w[i][t] + p) // (2 * p)  # nearest-integer quotient
+                    if w[i][0]:
+                        q = (2 * w[i][0] + p) // (2 * p)  # nearest-integer quotient
                         w[i] = r = [a - q * b for a, b in zip(w[i], top)]
-                        if r[t] and (best is None or abs(r[t]) < abs(w[best][t])):
+                        if r[0] and (best is None or abs(r[0]) < abs(w[best][0])):
                             best = i
                 if best is None:
                     break
                 w[t], w[best] = w[best], w[t]
-            top, p, j = w[t], w[t][t], None  # the same along row t, by columns
-            for k in range(t + 1, n):
+            top, p, j = w[t], w[t][0], None  # the same along row t, by columns
+            for k in range(1, n - t):
                 if top[k]:
                     q = (2 * top[k] + p) // (2 * p)
-                    for r in w[t:]:
-                        r[k] -= q * r[t]
-                    vt[k] = [a - q * b for a, b in zip(vt[k], vt[t])]
+                    top[k] -= q * p
+                    vt[t + k] = [a - q * b for a, b in zip(vt[t + k], vt[t])]
                     if top[k] and (j is None or abs(top[k]) < abs(top[j])):
                         j = k
-        offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
-                         if w[i][j] % p), None)
+        offender = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, m) if any(x % p for x in w[i][1:n - t])), None)
         if offender is not None:
             w[t] = [a + b for a, b in zip(w[t], w[offender])]  # pull it in, then re-pick
             continue
         if p < 0:
             w[t] = [-a for a in w[t]]
+        diag.append(abs(p))
+        for r in w[t + 1:]:
+            del r[0]
         t += 1
+    return diag
 
 
 def smith_normal_form(a: IntMatrix):
@@ -199,10 +219,11 @@ def smith_normal_form(a: IntMatrix):
     m, n = a.rows, a.cols
     w = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(a.entries)]
     vt = [[int(i == k) for k in range(n)] for i in range(n)]
-    _diagonalize(w, vt, m, n)
-    return (IntMatrix.from_rows([r[n:] for r in w]) if m else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows([r[:n] for r in w]) if m else IntMatrix(0, n, ()),
-            IntMatrix.from_rows(zip(*vt)) if n else IntMatrix(n, n, ()))
+    diag = _diagonalize(w, vt, m, n)
+    d = [[x if i == j else 0 for j in range(n)]
+         for i, x in enumerate(diag + [0] * (m - len(diag)))]
+    return (IntMatrix(m, m, [r[-m:] for r in w]), IntMatrix(m, n, d),
+            IntMatrix(n, n, list(zip(*vt))))
 
 
 def ext1_hom(a: IntMatrix):
@@ -215,9 +236,8 @@ def ext1_hom(a: IntMatrix):
     >>> ext1_hom(IntMatrix.from_rows([[2, 0], [0, 3]]))[1].torsion
     (6,)
     """
-    w = [list(r) for r in a.entries]
-    _diagonalize(w, [[] for _ in range(a.cols)], a.rows, a.cols)
-    diag = [w[i][i] for i in range(min(a.rows, a.cols)) if w[i][i]]
+    diag = _diagonalize([list(r) for r in a.entries], [[] for _ in range(a.cols)],
+                        a.rows, a.cols)
     hom = FGAbelianGroup(a.rows - len(diag))
     ext = FGAbelianGroup(0, tuple(x for x in diag if x >= 2))
     return hom, ext

@@ -271,6 +271,18 @@ def test_three_by_three_levels_skip_eigvalsh(monkeypatch):
     assert shapes == [("eigvalsh", (16, 12, 12))]
 
 
+def test_each_value_is_converted_once_per_norm(monkeypatch):
+    # level 0 and the levels j >= 1 are two samplings; they share one
+    # conversion of every value to a complex number
+    a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
+    want = bd_algebra._base_norms(a, 3, 16)
+    calls = []
+    to_complex = Cyclo.to_complex
+    monkeypatch.setattr(Cyclo, "to_complex", lambda v: calls.append(v) or to_complex(v))
+    assert bd_algebra._base_norms(a, 3, 16) == want
+    assert len(calls) == 3 * 24
+
+
 def _stack(rng, s: int, count: int) -> np.ndarray:
     return rng.standard_normal((count, s, s)) + 1j * rng.standard_normal((count, s, s))
 
