@@ -14,8 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "bd_algebra": ("BDElement", "LaurentPoly", "MatrixSymbol", "NormReport",
-                   "operator_norm", "spectrum_sample"),
+    "bd_algebra": ("BDElement", "NormReport", "operator_norm", "spectrum_sample"),
     "cyclotomic": ("Cyclo", "cyclotomic_polynomial", "root_of_unity"),
     "derivations": ("CharacterPick", "DerivationData", "decompose_invariant",
                     "nonsmooth_commutator", "pick_character", "recover_covariant",

@@ -13,7 +13,8 @@ Norms and spectra are evaluated straight from the coefficients: U^n M_f has
 the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
 sampled symbol is assembled from the complex values f_n(i) without forming
 the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
-exact MatrixSymbol serves only ``bd symbol`` and the *-homomorphism tests.
+exact symbol is plain data, l rows of l {power: Cyclo} dicts, and serves only
+``bd symbol``.
 The derivation levels j >= 1 of a norm carry no label 0, so they are sampled
 from a's own coefficients weighted by n^j, without label 0 and as the blocks
 the other labels allow; delta(a) is never built.  Every block's norm is the
@@ -35,6 +36,15 @@ from fractions import Fraction
 from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn
 from .supernatural import SupernaturalNumber, _is_int
+
+
+def _label(key: str) -> int:
+    """The label a JSON object key names.  Only the form str(n) is read, so that
+    no two keys ("1" and "01", or "10" and " 1_0") name the same label."""
+    n = int(key) if isinstance(key, str) and key.removeprefix("-").isdecimal() else None
+    if n is None or str(n) != key:
+        raise ValueError(f"label {key!r} is not an integer written in canonical decimal form")
+    return n
 
 
 class BDElement:
@@ -169,8 +179,9 @@ class BDElement:
 
     # -- symbol ---------------------------------------------------------------------
 
-    def matrix_symbol(self) -> "MatrixSymbol":
-        """The image in l x l matrices of Laurent polynomials over the circle.
+    def matrix_symbol(self) -> list:
+        """The image in l x l matrices of Laurent polynomials over the circle, as
+        l rows of l dicts {power of z: Cyclo} that hold no zero value.
 
         The shift maps to the cyclic matrix J(z) with ones on the subdiagonal
         and z in the upper right corner; M_f maps to diag(f(0), ..., f(l-1)).
@@ -186,8 +197,9 @@ class BDElement:
         rows = [[{} for _ in range(l)] for _ in range(l)]
         for n, f in self.coeffs.items():
             for i, v in enumerate(f.values):
-                rows[(i + n) % l][i][(i + n) // l] = v
-        return MatrixSymbol([[LaurentPoly(e) for e in row] for row in rows])
+                if not v.is_zero():
+                    rows[(i + n) % l][i][(i + n) // l] = v
+        return rows
 
     def to_json(self) -> dict:
         return {"S": self.S.to_json(),
@@ -204,153 +216,11 @@ class BDElement:
         if not isinstance(obj["coeffs"], dict):
             raise ValueError("coeffs must be an object mapping labels to functions")
         S = SupernaturalNumber.from_json(obj["S"])
-        coeffs = {int(n): LocConstFn.from_json(f) for n, f in obj["coeffs"].items()}
+        coeffs = {_label(n): LocConstFn.from_json(f) for n, f in obj["coeffs"].items()}
         return cls(S, coeffs, period=period)
 
     def __repr__(self):
         return f"BDElement(S={self.S}, period={self.period}, support={self.support})"
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials and matrix symbols
-
-class LaurentPoly:
-    """A Laurent polynomial in one variable with exact cyclotomic coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for p, c in (terms or {}).items():
-            c = _as_cyclo(c)
-            if c.terms:
-                clean[int(p)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPoly values are immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out[p] + c if p in out else c
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            c = _as_cyclo(other)
-            return LaurentPoly({p: v * c for p, v in self.terms.items()})
-        out: dict = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                p = p1 + p2
-                t = c1 * c2
-                out[p] = out[p] + t if p in out else t
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def star(self) -> "LaurentPoly":
-        """Adjoint on the circle: conjugate coefficients and invert the variable."""
-        return LaurentPoly({-p: c.conj() for p, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def coefficient(self, p: int) -> Cyclo:
-        return self.terms.get(p, Cyclo.zero())
-
-    @property
-    def powers(self) -> tuple:
-        return tuple(sorted(self.terms))
-
-    def to_json(self) -> list:
-        return [[p, self.terms[p].to_json()] for p in sorted(self.terms)]
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        return "LaurentPoly(" + " + ".join(
-            f"({c!r})*z^{p}" for p, c in sorted(self.terms.items())) + ")"
-
-
-class MatrixSymbol:
-    """An l x l matrix of Laurent polynomials over the circle.
-
-    The symbol map is a *-homomorphism: symbols multiply like the elements and
-    the adjoint is the conjugate transpose with z inverted.
-    """
-
-    __slots__ = ("size", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("symbol must be square")
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MatrixSymbol values are immutable")
-
-    def __add__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        return MatrixSymbol([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.entries, other.entries)])
-
-    def __mul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        if not isinstance(other, MatrixSymbol):
-            return MatrixSymbol([[e * other for e in row] for row in self.entries])
-        if self.size != other.size:
-            raise ValueError("symbols have different sizes")
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                for k in range(n):
-                    e1 = self.entries[i][k]
-                    if e1.terms:
-                        acc = acc + e1 * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixSymbol(out)
-
-    def star(self) -> "MatrixSymbol":
-        n = self.size
-        return MatrixSymbol([[self.entries[j][i].star() for j in range(n)]
-                             for i in range(n)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixSymbol):
-            return NotImplemented
-        return self.size == other.size and all(
-            a == b for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2))
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {"size": self.size,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,11 @@ def _plain(v):
     return v
 
 
+def _laurent(terms: dict) -> list:
+    """A Laurent polynomial {power: Cyclo} as its [power, value] pairs, powers ascending."""
+    return [[p, terms[p].to_json()] for p in sorted(terms)]
+
+
 def _re_im(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -181,7 +186,8 @@ VERBS = {
         "rho": ((("a", _BD), ("theta", _as_fraction)), lambda a, theta: a.circle_action(theta),
                 "The circle action at a rational angle."),
         "fourier": ((("a", _BD), ("n", _INT)), lambda a, n: a.fourier_coefficient(n), None),
-        "symbol": ((("a", _BD),), lambda a: a.matrix_symbol(), None),
+        "symbol": ((("a", _BD),), lambda a: {"size": a.period, "entries": [
+            [_laurent(e) for e in row] for row in a.matrix_symbol()]}, None),
         "norm": ((("a", _BD), ("m", _INT, 0), ("grid", _INT, 256), ("method", _raw, "binomial")),
                  "bd_algebra.operator_norm",
                  "Norm report with the exact window bracket."),
@@ -205,8 +211,8 @@ VERBS = {
                      "Character with the certified gap |1 - chi(q(n))| >= 3/2."),
         "nonsmooth": ((("s", _SN), ("chain_depth", _INT), ("terms", _INT), ("l", _INT),
                        ("k", _INT)),
-                      lambda s, depth, terms, l, k: {"laurent": _lib(
-                          "derivations.nonsmooth_commutator")(s, depth, terms, l, k)},
+                      lambda s, depth, terms, l, k: {"laurent": _laurent(_lib(
+                          "derivations.nonsmooth_commutator")(s, depth, terms, l, k))},
                       "Truncated non-smooth commutator polynomial."),
     },
     "k": {

@@ -10,8 +10,9 @@ holds the value (never 2 mod 4; 1 for rationals).  This is the basis GAP uses
 "Integral bases for subfields of cyclotomic fields", AAECC 8, 1997), so equal
 values have equal canonical terms.
 
-The cyclotomic polynomial cache is guarded by ``lru_cache``'s internal lock,
-so concurrent readers always see consistent data.
+No arithmetic here reduces modulo Phi_N.  cyclotomic_polynomial stays public and
+cached for the test oracle, which decides equality modulo Phi_N independently
+of the canonical form, and for the benchmark's tracer, which reads its cache.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bd_algebra import BDElement, LaurentPoly
+from .bd_algebra import BDElement, _label
 from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn, character
 from .supernatural import SupernaturalNumber, _is_int
@@ -92,7 +92,7 @@ class DerivationData:
         constant = Cyclo.from_json(c) if isinstance(c, dict) else Cyclo.from_rational(Fraction(c))
         return cls(constant,
                    LocConstFn.from_json(obj["G"]),
-                   {int(n): LocConstFn.from_json(f)
+                   {_label(n): LocConstFn.from_json(f)
                     for n, f in obj["covariant"].items()})
 
 
@@ -188,13 +188,14 @@ def pick_character(n: int, S: SupernaturalNumber) -> CharacterPick:
 
 
 def nonsmooth_commutator(S: SupernaturalNumber, chain_depth: int, n_terms: int,
-                         l: int, k: int) -> LaurentPoly:
+                         l: int, k: int) -> dict:
     """Truncated commutator series of the non-smooth symbol F(z) = sum z^{l_i}.
 
     With exponents 1 = l_0 < l_1 < ... along the canonical divisor chain of S
     and unit coefficients, the commutator with the k-th character of period l
     has symbol sum_i (1 - zeta_l^{k l_i}) z^{l_i}.  Once l divides l_i the terms
     vanish, so the result is a polynomial no matter how far the truncation runs.
+    It is returned as {power of z: Cyclo}, holding only the nonzero terms.
     """
     if not S.divisible_by(l):
         raise ValueError(f"{l} does not divide {S}")
@@ -208,4 +209,4 @@ def nonsmooth_commutator(S: SupernaturalNumber, chain_depth: int, n_terms: int,
     for e in exponents:
         if (k * e) % l != 0:
             terms[e] = Cyclo.one() - root_of_unity(k * e, l)
-    return LaurentPoly(terms)
+    return terms

@@ -55,10 +55,6 @@ class IntMatrix:
         return cls(len(rows), len(rows[0]) if rows else 0, tuple(rows))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 

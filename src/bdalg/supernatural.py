@@ -127,10 +127,6 @@ class SupernaturalNumber:
             norm.append((int(p), e if e == INF else int(e)))
         return cls(tuple(sorted(norm)))
 
-    @classmethod
-    def from_int(cls, n: int) -> "SupernaturalNumber":
-        return cls.of(factorize(n))
-
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         merged: dict[int, object] = dict(self.factors)
         for p, e in other.factors:

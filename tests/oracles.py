@@ -6,7 +6,10 @@ The crossed-product elements act on the standard basis (E_k) by
 
 so products and adjoints can be checked entry by entry against operator
 composition on a window of basis vectors, without going through the algebra's
-own multiplication.
+own multiplication.  The matrix symbol of period l is read off the same action:
+a E_c, c < l, written as sum_i v_i E_i, has v_i z^(i // l) at row i % l, column
+c.  Symbols are l rows of l dicts {power: Cyclo} holding no zero value, and
+their sum, product and adjoint are computed here over that plain form.
 
 Cyclotomic values are compared by reducing their difference modulo the
 cyclotomic polynomial Phi_N, N the lcm of the orders, independently of the
@@ -69,6 +72,40 @@ def columns_equal(col1: dict, col2: dict) -> bool:
     keys = set(col1) | set(col2)
     zero = Cyclo.zero()
     return all(col1.get(i, zero) == col2.get(i, zero) for i in keys)
+
+
+def symbol(a: BDElement) -> list:
+    """The symbol of a at its period l, from the action on E_0, ..., E_(l-1)."""
+    l = a.period
+    rows = [[{} for _ in range(l)] for _ in range(l)]
+    for c in range(l):
+        for i, v in apply_to_basis(a, c).items():
+            rows[i % l][c][i // l] = v
+    return rows
+
+
+def _laurent(terms) -> dict:
+    """{power: value} from (power, value) pairs, like powers summed, zeros dropped."""
+    out: dict = {}
+    for p, c in terms:
+        out[p] = out[p] + c if p in out else c
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def symbol_sum(x: list, y: list) -> list:
+    return [[_laurent([*e.items(), *f.items()]) for e, f in zip(r, s)] for r, s in zip(x, y)]
+
+
+def symbol_product(x: list, y: list) -> list:
+    n = len(x)
+    return [[_laurent((p + q, c * d) for k in range(n) for p, c in x[i][k].items()
+                      for q, d in y[k][j].items()) for j in range(n)] for i in range(n)]
+
+
+def symbol_star(x: list) -> list:
+    """The conjugate transpose with z inverted."""
+    n = len(x)
+    return [[{-p: c.conj() for p, c in x[j][i].items()} for j in range(n)] for i in range(n)]
 
 
 def entry(a: BDElement, i: int, j: int) -> Cyclo:

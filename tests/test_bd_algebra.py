@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bdalg import (BDElement, Cyclo, INF, LocConstFn, MatrixSymbol,
-                   SupernaturalNumber, character, operator_norm,
-                   root_of_unity, spectrum_sample)
+from bdalg import (BDElement, Cyclo, INF, LocConstFn, SupernaturalNumber,
+                   character, operator_norm, root_of_unity, spectrum_sample)
 from bdalg import bd_algebra
 from bdalg.verify import rand_bd
 
-from oracles import apply_to_basis, columns_equal, compose_on_basis, entry
+from oracles import (apply_to_basis, columns_equal, compose_on_basis, entry, symbol,
+                     symbol_product, symbol_star, symbol_sum)
 
 S = SupernaturalNumber.of({2: INF, 3: INF})
 U = BDElement.shift(S)
@@ -147,23 +147,17 @@ def test_fourier_reconstruction():
 
 def test_symbol_shift():
     sym = BDElement(S, {1: LocConstFn.constant(1, 2)}).matrix_symbol()
-    assert sym.entries[0][1].coefficient(1) == 1
-    assert sym.entries[1][0].coefficient(0) == 1
-    assert sym.entries[0][0].is_zero() and sym.entries[1][1].is_zero()
+    assert sym == [[{}, {1: 1}], [{0: 1}, {}]]
 
 
 def test_symbol_diagonal():
     sym = BDElement.mult_op(S, CHI2).matrix_symbol()
-    assert sym.entries[0][0].coefficient(0) == 1
-    assert sym.entries[1][1].coefficient(0) == -1
-    assert sym.entries[0][1].is_zero()
+    assert sym == [[{0: 1}, {}], [{}, {0: -1}]]
 
 
 def test_symbol_u_squared():
     sym = BDElement(S, {2: LocConstFn.constant(1, 2)}).matrix_symbol()
-    for i in range(2):
-        assert sym.entries[i][i].coefficient(1) == 1
-    assert sym.entries[0][1].is_zero() and sym.entries[1][0].is_zero()
+    assert sym == [[{1: 1}, {}], [{}, {1: 1}]]
 
 
 def test_symbol_star_homomorphism():
@@ -173,9 +167,20 @@ def test_symbol_star_homomorphism():
         b = rand_bd(rng, S, (1, 4), max_n=3)
         l = math.lcm(a.period, b.period)
         al, bl = a.with_period(l), b.with_period(l)
-        assert (a * b).with_period(l).matrix_symbol() == al.matrix_symbol() * bl.matrix_symbol()
-        assert a.adjoint().matrix_symbol() == a.matrix_symbol().star()
-        assert (a + b).with_period(l).matrix_symbol() == al.matrix_symbol() + bl.matrix_symbol()
+        assert al.matrix_symbol() == symbol(al) and bl.matrix_symbol() == symbol(bl)
+        assert (a * b).with_period(l).matrix_symbol() == symbol_product(symbol(al), symbol(bl))
+        assert a.adjoint().matrix_symbol() == symbol_star(symbol(a))
+        assert (a + b).with_period(l).matrix_symbol() == symbol_sum(symbol(al), symbol(bl))
+
+
+def test_symbol_skips_zero_values():
+    # 1 + zeta_2 is zero with raw terms: the element equals the one with value 0
+    # there, and both have the same symbol, without an entry for the zero
+    zero = Cyclo.from_json({"order": 2, "terms": [[0, "1"], [1, "1"]]})
+    a = BDElement(S, {1: LocConstFn([zero, 3])})
+    b = BDElement(S, {1: LocConstFn([0, 3])})
+    assert a == b
+    assert a.matrix_symbol() == b.matrix_symbol() == [[{}, {1: 3}], [{}, {}]]
 
 
 def test_norm_diagonal_exact():
@@ -377,13 +382,13 @@ def test_norm_sandwich_and_fourier_contractivity():
             assert a.coeffs[n].sup_norm() <= rep.value + 1e-9
 
 
-def _evaluate(sym: MatrixSymbol, grid: int) -> np.ndarray:
+def _evaluate(sym: list, grid: int) -> np.ndarray:
     """The exact symbol's entries through Cyclo.to_complex, at `grid` points."""
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
-    out = np.zeros((grid, sym.size, sym.size), dtype=complex)
-    for i, row in enumerate(sym.entries):
+    out = np.zeros((grid, len(sym), len(sym)), dtype=complex)
+    for i, row in enumerate(sym):
         for j, e in enumerate(row):
-            for p, c in e.terms.items():
+            for p, c in e.items():
                 out[:, i, j] += c.to_complex() * z ** p
     return out
 
@@ -400,7 +405,7 @@ def _reference_norm(a: BDElement, m: int, grid: int):
             parts.append((d.coeffs[0].sup_norm(), "exact", 0))
         else:
             sym = d.matrix_symbol()
-            top = max(abs(p) for row in sym.entries for e in row for p in e.terms)
+            top = max(abs(p) for row in sym for e in row for p in e)
             eff = max(grid, 2 * top + 1)
             sv = np.linalg.svd(_evaluate(sym, eff), compute_uv=False)
             parts.append((float(sv.max()), "grid-estimate", eff))
@@ -560,6 +565,17 @@ def test_serialization_roundtrip():
     assert BDElement.from_json(obj) == a
     with pytest.raises(ValueError):
         BDElement.from_json({"S": [], "coeffs": {}})
+
+
+@pytest.mark.parametrize("keys", [("1", "01"), ("10", " 1_0"), ("0", "-0"), ("1", "+1"),
+                                  ("2", "\u0662")])
+def test_from_json_refuses_label_keys_that_are_not_canonical(keys):
+    # each pair would name one label twice, and one value would be dropped
+    obj = BDElement(S, {1: CHI4}).to_json()
+    f = obj["coeffs"].pop("1")
+    assert BDElement.from_json(dict(obj, coeffs={keys[0]: f})).support == (int(keys[0]),)
+    with pytest.raises(ValueError, match="label"):
+        BDElement.from_json(dict(obj, coeffs=dict.fromkeys(keys, f)))
 
 
 def test_from_json_checks_containers():

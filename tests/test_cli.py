@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -7,9 +9,10 @@ import time
 import pytest
 
 import bdalg
-from bdalg import verify
+from bdalg import INF, SupernaturalNumber, verify
 from bdalg.cli import VERBS, _dumps, main
 from bdalg.homalg import IntMatrix
+from bdalg.verify import rand_bd
 
 
 def run(capsys, *argv):
@@ -251,6 +254,64 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc == {"coefficients": {"1": {"order": 1, "terms": [[0, "1"]]}}}
+
+
+def _symbol_corpus():
+    """Seeded elements at periods dividing 12, with labels up to 30 in absolute
+    value, so most reach past the period and many are negative; each passes
+    through its JSON form, so no value is a zero with raw terms."""
+    rng = random.Random(23)
+    S = SupernaturalNumber.of({2: INF, 3: INF})
+    return [json.dumps(rand_bd(rng, S, (1, 2, 3, 4, 6, 12), max_n=30, max_terms=4).to_json())
+            for _ in range(60)]
+
+
+def _nonsmooth_corpus():
+    """Every character (l, k) for l among small divisors of 2^inf and of 2^inf 3^inf."""
+    return [["--s", s, "--chain-depth", "6", "--terms", "5", "--l", str(l), "--k", str(k)]
+            for s, ls in (('[[2,"inf"]]', (1, 2, 4, 8, 16)),
+                          ('[[2,"inf"],[3,"inf"]]', (1, 2, 3, 6, 12, 36)))
+            for l in ls for k in range(l)]
+
+
+def _output_digest(capsys, calls) -> str:
+    outs = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 for code, _ in outs)
+    return hashlib.sha256("".join(out for _, out in outs).encode()).hexdigest()
+
+
+# Digests of the output of f0afda4, when the symbol was still a class of its
+# own; the plain-data symbol prints the same bytes.
+GOLDEN_SYMBOL = "8be8b619c7d59ba0995222e542554985bbda0cc2ffbb86293a7baf9e4838676c"
+GOLDEN_NONSMOOTH = "72d3bd5e473084bc18965cc5f2d88dac4b9fcaf73b9c4ba15d7e6c792a97533f"
+
+
+def test_symbol_and_nonsmooth_are_byte_identical_to_the_pinned_digest(capsys):
+    assert _output_digest(capsys, [("bd", "symbol", "--a", a)
+                                   for a in _symbol_corpus()]) == GOLDEN_SYMBOL
+    assert _output_digest(capsys, [("der", "nonsmooth", *args)
+                                   for args in _nonsmooth_corpus()]) == GOLDEN_NONSMOOTH
+
+
+def test_equal_elements_print_the_same_symbol(capsys):
+    # 1 + zeta_2 is zero, written with raw terms
+    outs = [run(capsys, "bd", "symbol", "--a", '{"S":[[2,"inf"]],"period":2,"coeffs":{"1":'
+                '{"period":2,"values":[' + zero + ',{"order":1,"terms":[[0,"3"]]}]}}}')
+            for zero in ('{"order":2,"terms":[[0,"1"],[1,"1"]]}', '{"order":1,"terms":[]}')]
+    assert outs[0] == outs[1] == (0, '{"entries":[[[],[[1,{"order":1,"terms":[[0,"3"]]}]]],'
+                                     '[[],[]]],"size":2}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("bd", "adjoint", "--a", '{"S":[[2,"inf"]],"period":1,"coeffs":{"1":' + ONE + ',"01":'
+     + ONE + '}}'),
+    ("der", "apply", "--d", '{"C":"1","G":' + FN2 + ',"covariant":{" 1_0":' + ONE + '}}',
+     "--b", BDE),
+])
+def test_label_keys_that_are_not_canonical_exit_1(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError" and "label" in doc["error"]["message"]
 
 
 def test_json_file_input(tmp_path, capsys):

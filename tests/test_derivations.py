@@ -214,7 +214,7 @@ def test_pick_character_examples():
 
 def test_pick_character_error_path():
     with pytest.raises(ValueError):
-        pick_character(12, SupernaturalNumber.from_int(12))
+        pick_character(12, SupernaturalNumber.of({2: 2, 3: 1}))
     with pytest.raises(ValueError):
         pick_character(0, S)
 
@@ -222,12 +222,11 @@ def test_pick_character_error_path():
 def test_nonsmooth_commutator():
     S2 = SupernaturalNumber.of({2: INF})
     p = nonsmooth_commutator(S2, 5, 3, 4, 1)
-    assert p.powers == (1, 2)
-    assert p.coefficient(1) == Cyclo.one() - root_of_unity(1, 4)
-    assert p.coefficient(2) == 2
-    assert nonsmooth_commutator(S2, 5, 3, 4, 0).is_zero()
-    p2 = nonsmooth_commutator(S2, 5, 3, 2, 1)
-    assert p2.powers == (1,) and p2.coefficient(1) == 2
+    assert sorted(p) == [1, 2]
+    assert p[1] == Cyclo.one() - root_of_unity(1, 4)
+    assert p[2] == 2
+    assert nonsmooth_commutator(S2, 5, 3, 4, 0) == {}
+    assert nonsmooth_commutator(S2, 5, 3, 2, 1) == {1: 2}
 
 
 def test_nonsmooth_validation():
@@ -251,7 +250,7 @@ def test_nonsmooth_truncation_stable():
         assert nonsmooth_commutator(S6, 10, 10, l, k) == small
         levels = [1] + S6.divisor_chain(10)
         surviving = [e for e in levels if (k * e) % l != 0]
-        assert set(small.powers) <= set(surviving)
+        assert set(small) <= set(surviving)
 
 
 def test_serialization_roundtrip():
@@ -264,3 +263,11 @@ def test_serialization_roundtrip():
     assert back.covariant[1] == d.covariant[1]
     with pytest.raises(ValueError):
         DerivationData.from_json({"C": "1"})
+
+
+def test_from_json_refuses_covariant_keys_that_are_not_canonical():
+    obj = DerivationData(1, LocConstFn.zero(), {1: LocConstFn([1, 2])}).to_json()
+    f = obj["covariant"]["1"]
+    for key in ("01", " 1", "1_0", "+1", "-01"):
+        with pytest.raises(ValueError, match="label"):
+            DerivationData.from_json(dict(obj, covariant={"1": f, key: f}))

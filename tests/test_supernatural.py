@@ -48,8 +48,8 @@ def test_divisor_chain_two_primes():
 
 def test_divisor_chain_finite_too_small():
     with pytest.raises(ValueError):
-        SupernaturalNumber.from_int(6).divisor_chain(3)
-    assert SupernaturalNumber.from_int(6).divisor_chain(2) == [2, 6]
+        SupernaturalNumber.of({2: 1, 3: 1}).divisor_chain(3)
+    assert SupernaturalNumber.of({2: 1, 3: 1}).divisor_chain(2) == [2, 6]
 
 
 def test_divisor_chain_prefix_property():
