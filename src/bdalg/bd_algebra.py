@@ -60,8 +60,10 @@ class BDElement:
             raise ValueError(f"period {l} does not divide {S}")
         clean = {}
         for n, f in coeffs.items():
+            if not _is_int(n):
+                raise ValueError(f"label {n!r} is not an integer")
             if not f.is_zero():
-                clean[int(n)] = f.with_period(l)
+                clean[n] = f.with_period(l)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "period", l)
         object.__setattr__(self, "coeffs", clean)

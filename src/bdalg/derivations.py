@@ -42,7 +42,8 @@ class DerivationData:
             raise ValueError("the inner diagonal part must have mean zero")
         clean = {}
         for n, f in self.covariant.items():
-            n = int(n)
+            if not _is_int(n):
+                raise ValueError(f"covariant index {n!r} is not an integer")
             if n == 0:
                 raise ValueError("covariant indices must be nonzero")
             if not f.is_zero():

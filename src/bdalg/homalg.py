@@ -11,6 +11,14 @@ shrinks by one column per final pivot, followed by its row of U (the border);
 V is kept transposed, one row per column.  Everything is exact integer
 arithmetic; the matrices here are desk scale.
 
+Ext needs only D, so a nonsingular square matrix takes a shorter route: one
+Bareiss elimination gives the determinant and some minors of orders n-1 and
+n-2, and their gcds certify d_1, ..., d_{n-1} at every prime that does not
+divide the pivot those minors share; the rare primes that divide both are
+factored and settled by an elimination modulo a prime power.  Singular and non-square
+matrices, 1 x 1 matrices and shared factors too large to factor go through
+the Smith form elimination above.
+
 Two identities relevant to the odometer algebras involve groups that are not
 finitely generated and have no faithful finite presentation, so they are
 recorded here rather than computed: for the torsion group of all roots of
@@ -22,9 +30,10 @@ the K-invariant module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .supernatural import _is_int
+from .supernatural import _is_int, factorize
 
 
 @dataclass(frozen=True)
@@ -72,26 +81,10 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        got = _bareiss([list(r) for r in self.entries], 1)
+        return 0 if got is None else got[0] * got[2][0][0]
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -222,18 +215,165 @@ def smith_normal_form(a: IntMatrix):
             IntMatrix(n, n, list(zip(*vt))))
 
 
+# The primes that most often divide the minors of a matrix.  Bareiss pivots are
+# picked free of them where they can be, so that the last pivot, which every
+# entry of the trailing block shares, seldom has a prime in common with them.
+_SMALL_PRIMES = 2 * 3 * 5 * 7 * 11 * 13
+# Factoring by trial division stays cheap below this bound.
+_FACTOR_BOUND = 1 << 32
+
+
+def _pivot(w, k: int):
+    """(row, column) of the pivot for step k: in column-major order over the
+    active block, the first nonzero entry prime to _SMALL_PRIMES, else the
+    first of least gcd with it; None when the block is zero."""
+    best = None
+    for j in range(len(w[k])):
+        for i in range(k, len(w)):
+            if w[i][j]:
+                g = math.gcd(w[i][j], _SMALL_PRIMES)
+                if g == 1:
+                    return i, j
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+    return best and best[1:]
+
+
+def _bareiss(w, stop: int):
+    """Fraction-free (Bareiss) elimination of the n x n row list w, in place,
+    down to its trailing stop x stop block.
+
+    Step k divides by the previous pivot and keeps only the active columns.
+    By Sylvester's identity every entry of the block left after step k is the
+    (k+2)-minor on rows and columns 0..k and its own row and column (after
+    the swaps), and the pivot of step k is the leading (k+1)-minor.  Pivots
+    avoid small primes (_pivot).  Returns (sign of the swaps, last pivot q,
+    block), with q = 1 when no step is taken, or None when a whole active
+    block is zero (det A = 0).
+    """
+    n, sign, q = len(w), 1, 1
+    for k in range(n - stop):
+        at = _pivot(w, k)
+        if at is None:
+            return None
+        i, j = at
+        if i != k:
+            w[k], w[i] = w[i], w[k]
+            sign = -sign
+        if j:
+            for r in w[k:]:
+                r[0], r[j] = r[j], r[0]
+            sign = -sign
+        p, rest = w[k][0], w[k][1:]
+        for i in range(k + 1, n):
+            r = w[i]
+            c = r[0]
+            w[i] = [(p * x - c * y) // q for x, y in zip(r[1:], rest)]
+        q = p
+    return sign, q, w[n - stop:]
+
+
+def _coprime_part(x: int, q: int) -> int:
+    """The largest divisor of x that shares no prime with q."""
+    c = math.gcd(x, q)
+    while c > 1:
+        x //= c
+        c = math.gcd(x, c)
+    return x
+
+
+def _local_valuations(rows, p: int, e: int) -> list:
+    """v_p(d_1), ..., v_p(d_{n-1}) for a square matrix with v_p(det) < e.
+
+    Elimination over Z/p^e: while no entry of the remaining block is a unit,
+    the block is divided by p.  A unit pivot is then normalized to 1 and its
+    column cleared by row operations; the column operations that would clear
+    its row change nothing else, so its row and column are dropped.  The
+    number of divisions so far is the pivot's valuation.
+    """
+    pe, s, vals = p ** e, 0, []
+    w = [[x % pe for x in r] for r in rows]
+    for _ in range(len(w) - 1):
+        while not any(x % p for r in w for x in r):
+            pe //= p
+            s += 1
+            w = [[x // p for x in r] for r in w]
+        i, j = next((i, j) for i, r in enumerate(w) for j, x in enumerate(r) if x % p)
+        w[0], w[i] = w[i], w[0]
+        for r in w:
+            r[0], r[j] = r[j], r[0]
+        inv = pow(w[0][0], -1, pe)
+        top = [x * inv % pe for x in w[0][1:]]
+        w = [[(x - r[0] * y) % pe for x, y in zip(r[1:], top)] for r in w[1:]]
+        vals.append(s)
+    return vals
+
+
+def _determinant_diagonal(a: IntMatrix):
+    """The Smith diagonal d_1, ..., d_n of a nonsingular square A with n >= 2,
+    from its determinant and minors; None where that cannot be certified.
+
+    A 2 x 2 matrix is bordered to diag(1, A), which has the same cokernel.
+    Bareiss elimination stops at the trailing 3 x 3 block M, whose entries are
+    (n-2)-minors sharing the leading minor q.  Then det A = det M / q^2, the
+    2 x 2 minors of M over q are nine (n-1)-minors of A, and c, the gcd of M,
+    is a multiple of d_1...d_{n-2}.  Let g = gcd(det A, the nine minors), a
+    multiple of d_1...d_{n-1}.  At a prime p not dividing q, M / q is a Schur
+    complement over the p-adic integers, so v_p(d_{n-2}) = v_p(c),
+    v_p(d_{n-1}) = v_p(g) - v_p(c) and the d_i before are prime to p.  The
+    primes of g that divide q are factored, below _FACTOR_BOUND, and each
+    gets its valuations from an elimination over Z/p^e.
+    """
+    rows = [list(r) for r in a.entries]
+    if a.rows == 2:
+        rows = [[1, 0, 0], [0] + rows[0], [0] + rows[1]]
+    got = _bareiss([r[:] for r in rows], 3)
+    if got is None:
+        return None
+    sign, q, m = got
+    pairs = ((1, 2), (0, 2), (0, 1))
+    adj = [[m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1] for j1, j2 in pairs]
+           for i1, i2 in pairs]  # adj[i][j]: the 2 x 2 minor of M without row i and column j
+    det = sign * (m[0][0] * adj[0][0] - m[0][1] * adj[0][1] + m[0][2] * adj[0][2]) // (q * q)
+    if det == 0:
+        return None
+    g = math.gcd(det, *(v // q for r in adj for v in r))
+    free = _coprime_part(g, q)
+    c = _coprime_part(math.gcd(*(v for r in m for v in r)), q)
+    d = [1] * (len(rows) - 3) + [c, free // c]
+    y = g // free
+    if y >= _FACTOR_BOUND:
+        return None
+    for p in factorize(y):
+        e = 1
+        while det % p ** e == 0:
+            e += 1
+        for i, v in enumerate(_local_valuations(rows, p, e)):
+            d[i] *= p ** v
+    d.append(abs(det) // math.prod(d))
+    return d[len(rows) - a.rows:]
+
+
 def ext1_hom(a: IntMatrix):
     """Hom(G, Z) and Ext^1(G, Z) for G presented as the cokernel of A.
 
     With D the Smith form, Hom is free of rank (rows - rank D) and Ext^1 is the
     direct sum of Z/d over the elementary divisors d >= 2; higher Ext vanishes
-    over the integers.  The diagonal is computed without U and V.
+    over the integers.  The diagonal is computed without U and V: for a
+    nonsingular square matrix with n >= 2 from the determinant and the gcd of
+    some of its (n-1)- and (n-2)-minors (_determinant_diagonal); where those
+    do not settle it, and for every other shape, by the elimination that
+    smith_normal_form uses.
 
     >>> ext1_hom(IntMatrix.from_rows([[2, 0], [0, 3]]))[1].torsion
     (6,)
     """
-    diag = _diagonalize([list(r) for r in a.entries], [[] for _ in range(a.cols)],
-                        a.rows, a.cols)
+    diag = None
+    if a.rows == a.cols >= 2:
+        diag = _determinant_diagonal(a)
+    if diag is None:
+        diag = _diagonalize([list(r) for r in a.entries], [[] for _ in range(a.cols)],
+                            a.rows, a.cols)
     hom = FGAbelianGroup(a.rows - len(diag))
     ext = FGAbelianGroup(0, tuple(x for x in diag if x >= 2))
     return hom, ext

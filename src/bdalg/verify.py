@@ -307,7 +307,8 @@ def _k0(rng, scale):
         yield prod == BDElement.zero(_S_K0), lambda: {"a": a, "b": b}
 
 
-@_suite("ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100; U A V = D with unimodular U, V")
+@_suite("ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100; U A V = D with unimodular U, V, "
+        "and ext1_hom read off the diagonal of D")
 def _ext(rng, scale):
     for n in range(2, (100 if scale == "full" else 30) + 1):
         hom, ext = ext1_hom(IntMatrix.from_rows([[n]]))
@@ -324,6 +325,9 @@ def _ext(rng, scale):
         for i in range(len(diag) - 1):
             if diag[i] != 0 and diag[i + 1] != 0 and diag[i + 1] % diag[i] != 0:
                 ok = False
+        nonzero = [x for x in diag if x]
+        ok = ok and ext1_hom(a) == (FGAbelianGroup(m - len(nonzero)),
+                                    FGAbelianGroup(0, tuple(x for x in nonzero if x >= 2)))
         yield ok, lambda: {"matrix": a.to_json()}
 
 

@@ -578,6 +578,13 @@ def test_from_json_refuses_label_keys_that_are_not_canonical(keys):
         BDElement.from_json(dict(obj, coeffs=dict.fromkeys(keys, f)))
 
 
+@pytest.mark.parametrize("label", [1.5, 1.0, True, "1", np.int64(1)])
+def test_constructor_refuses_labels_that_are_not_plain_integers(label):
+    # int(label) would truncate 1.5 and let True overwrite the label 1
+    with pytest.raises(ValueError, match="label"):
+        BDElement(S, {label: CHI4, 1: LocConstFn([2])})
+
+
 def test_from_json_checks_containers():
     good = BDElement(S, {1: CHI4}).to_json()
     for key, bad in (("coeffs", []), ("coeffs", None), ("period", "4"), ("period", True),

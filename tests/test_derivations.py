@@ -271,3 +271,9 @@ def test_from_json_refuses_covariant_keys_that_are_not_canonical():
     for key in ("01", " 1", "1_0", "+1", "-01"):
         with pytest.raises(ValueError, match="label"):
             DerivationData.from_json(dict(obj, covariant={"1": f, key: f}))
+
+
+@pytest.mark.parametrize("index", [2.7, 2.0, True, "2"])
+def test_constructor_refuses_covariant_indices_that_are_not_plain_integers(index):
+    with pytest.raises(ValueError, match="covariant index"):
+        DerivationData(0, LocConstFn.zero(), {index: F2})

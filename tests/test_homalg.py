@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
+from bdalg import FGAbelianGroup, IntMatrix, ext1_hom, homalg, smith_normal_form
 
 from oracles import determinantal_divisors
 
@@ -224,6 +224,60 @@ def test_ext_stable_under_unimodular_changes():
         P = _random_unimodular(rng, m)
         Q = _random_unimodular(rng, n)
         assert ext1_hom(P * A * Q) == ext1_hom(A)
+
+
+def _scaled_product(rng, diag, c=1):
+    """c * P * diag * Q with P and Q random unimodular."""
+    n = len(diag)
+    mid = IntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    prod = _random_unimodular(rng, n) * mid * _random_unimodular(rng, n)
+    return IntMatrix.from_rows([[c * x for x in r] for r in prod.entries])
+
+
+def _ext_branch_cases():
+    """One matrix per branch of ext1_hom: (name, matrix, path), where path is
+    "certificate" (determinant and minors alone), "local" (an elimination
+    over Z/p^e as well) or "fallback" (the Euclidean elimination)."""
+    rng = random.Random(15)
+    near = 1048573 * 1048583  # two primes near 2^20
+    return [
+        ("30x30", IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(30)]
+                                       for _ in range(30)]), "certificate"),
+        ("g=1", _scaled_product(rng, [1, 1, 1, 1, 7]), "certificate"),
+        ("non-cyclic p=2", _scaled_product(rng, [1, 1, 1, 1, 2, 2]), "certificate"),
+        ("non-cyclic p=3", _scaled_product(rng, [1, 1, 1, 3, 3]), "certificate"),
+        ("prime power", _scaled_product(rng, [1, 1, 1, 4, 8]), "certificate"),
+        ("p divides the shared minor", _scaled_product(rng, [1, 1, 2, 2, 2, 2]), "local"),
+        ("multiple of 6", _scaled_product(rng, [1, 1, 1, 5], c=6), "local"),
+        ("singular", _scaled_product(rng, [1, 2, 0, 3]), "fallback"),
+        ("non-square", IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)]
+                                            for _ in range(3)]), "fallback"),
+        ("1x1", IntMatrix.from_rows([[-12]]), "fallback"),
+        ("2x2", IntMatrix.from_rows([[4, 6], [2, 8]]), "certificate"),
+        ("3x3, g above the bound", _scaled_product(rng, [1, 1, 2], c=near), "certificate"),
+        ("4x4, g above the bound", _scaled_product(rng, [1, 1, 1, 2], c=near), "fallback"),
+    ]
+
+
+@pytest.mark.parametrize("name,a,path", _ext_branch_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_ext_matches_the_euclidean_diagonal_on_each_branch(monkeypatch, name, a, path):
+    calls = {"local": 0, "fallback": 0}
+
+    def spy(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(homalg, "_local_valuations", spy("local", homalg._local_valuations))
+    monkeypatch.setattr(homalg, "_diagonalize", spy("fallback", homalg._diagonalize))
+    hom, ext = ext1_hom(a)
+    assert (bool(calls["local"]), bool(calls["fallback"])) == (path == "local", path == "fallback")
+    monkeypatch.undo()
+    diag = homalg._diagonalize([list(r) for r in a.entries], [[] for _ in range(a.cols)],
+                               a.rows, a.cols)
+    assert (hom, ext) == (FGAbelianGroup(a.rows - len(diag)),
+                          FGAbelianGroup(0, tuple(d for d in diag if d >= 2)))
 
 
 def test_product_keeps_declared_shape():
