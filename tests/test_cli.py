@@ -293,6 +293,15 @@ def test_symbol_and_nonsmooth_are_byte_identical_to_the_pinned_digest(capsys):
                                    for args in _nonsmooth_corpus()]) == GOLDEN_NONSMOOTH
 
 
+# Digest of the stdout of every ALL_VERBS call, in table order, taken at c6f32dc
+# (Python 3.11, numpy 2.4): value classes built on dataclasses then.
+GOLDEN_ALL_VERBS = "4b8471d12c3e619fdf57f731480ae9b572bd122a72d76ca0114dd559fa6d910e"
+
+
+def test_every_verb_prints_the_pinned_bytes(capsys):
+    assert _output_digest(capsys, [(g, v, *args) for g, v, args in ALL_VERBS]) == GOLDEN_ALL_VERBS
+
+
 def test_equal_elements_print_the_same_symbol(capsys):
     # 1 + zeta_2 is zero, written with raw terms
     outs = [run(capsys, "bd", "symbol", "--a", '{"S":[[2,"inf"]],"period":2,"coeffs":{"1":'
