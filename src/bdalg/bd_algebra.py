@@ -30,12 +30,11 @@ rules for higher norms (binomial sum versus the recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn
-from .supernatural import SupernaturalNumber, _is_int
+from .supernatural import SupernaturalNumber, _Frozen, _int, _rational
 
 
 def _label(key: str) -> int:
@@ -47,29 +46,27 @@ def _label(key: str) -> int:
     return n
 
 
-class BDElement:
+class BDElement(_Frozen):
     """A finite sum  sum_n U^n M_{f_n}  with a common period for all f_n."""
 
     __slots__ = ("S", "period", "coeffs")
 
     def __init__(self, S: SupernaturalNumber, coeffs: dict, period: int = None):
-        l = period or 1
+        l = 1 if period is None else _int(period, "period")
+        if l < 1:
+            raise ValueError("period must be a positive integer")
         for f in coeffs.values():
             l = math.lcm(l, f.period)
         if not S.divisible_by(l):
             raise ValueError(f"period {l} does not divide {S}")
         clean = {}
         for n, f in coeffs.items():
-            if not _is_int(n):
-                raise ValueError(f"label {n!r} is not an integer")
+            _int(n, "label")
             if not f.is_zero():
                 clean[n] = f.with_period(l)
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", S)  # not _init: this runs on every operation
         object.__setattr__(self, "period", l)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BDElement values are immutable")
 
     # -- constructors -----------------------------------------------------------
 
@@ -109,7 +106,7 @@ class BDElement:
     # -- *-algebra operations -----------------------------------------------------
 
     def _check_compatible(self, other: "BDElement"):
-        if self.S != other.S:
+        if self.S is not other.S and self.S != other.S:
             raise ValueError("elements live over different supernatural numbers")
 
     def __add__(self, other: "BDElement") -> "BDElement":
@@ -156,9 +153,7 @@ class BDElement:
     def circle_action(self, theta) -> "BDElement":
         """The circle automorphism scaling U by exp(2 pi i theta); theta must be
         an exact rational so the phases stay cyclotomic."""
-        if isinstance(theta, float):
-            raise ValueError("the angle must be an exact rational, not a float")
-        theta = Fraction(theta)
+        theta = _rational(theta, "angle")
         p, q = theta.numerator, theta.denominator
         return BDElement(self.S, {n: f.scale(root_of_unity(n * p, q))
                                   for n, f in self.coeffs.items()})
@@ -170,7 +165,7 @@ class BDElement:
     def __eq__(self, other):
         if not isinstance(other, BDElement):
             return NotImplemented
-        if self.S != other.S:
+        if self.S is not other.S and self.S != other.S:
             return False
         for n in set(self.coeffs) | set(other.coeffs):
             if self.fourier_coefficient(n) != other.fourier_coefficient(n):
@@ -212,14 +207,11 @@ class BDElement:
     def from_json(cls, obj) -> "BDElement":
         if not isinstance(obj, dict) or set(obj) != {"S", "period", "coeffs"}:
             raise ValueError('element must be {"S": ..., "period": l, "coeffs": {...}}')
-        period = obj["period"]
-        if not _is_int(period) or period < 1:
-            raise ValueError("period must be a positive integer")
         if not isinstance(obj["coeffs"], dict):
             raise ValueError("coeffs must be an object mapping labels to functions")
         S = SupernaturalNumber.from_json(obj["S"])
         coeffs = {_label(n): LocConstFn.from_json(f) for n, f in obj["coeffs"].items()}
-        return cls(S, coeffs, period=period)
+        return cls(S, coeffs, period=obj["period"])
 
     def __repr__(self):
         return f"BDElement(S={self.S}, period={self.period}, support={self.support})"
@@ -228,8 +220,7 @@ class BDElement:
 # ---------------------------------------------------------------------------
 # norms and spectra
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(_Frozen):
     """A norm value together with how it was obtained and an exact bracket.
 
     window = (max_n (1+|n|)^M |f_n|_inf, sum_n (1+|n|)^M |f_n|_inf); at M = 0
@@ -241,16 +232,14 @@ class NormReport:
     put the computed value a few ulps outside, so it is clamped into the window.
     """
 
-    value: float
-    kind: str
-    grid: int
-    window: tuple
+    __slots__ = ("value", "kind", "grid", "window")
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "grid-estimate"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.window[0] > self.window[1] + 1e-12:
+    def __init__(self, value: float, kind: str, grid: int, window: tuple):
+        if kind not in ("exact", "grid-estimate"):
+            raise ValueError(f"unknown norm kind {kind!r}")
+        if window[0] > window[1] + 1e-12:
             raise ValueError("window lower bound exceeds upper bound")
+        self._init(value, kind, grid, window)
 
     def to_json(self) -> dict:
         return {"value": self.value, "kind": self.kind, "grid": self.grid,
@@ -279,7 +268,7 @@ _MAX_SAMPLES = 1 << 26
 
 
 def _check_grid(grid):
-    if not _is_int(grid) or grid < 16:
+    if _int(grid, "grid") < 16:
         raise ValueError("grid must be an integer of at least 16")
 
 
@@ -495,7 +484,7 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     _MAX_SAMPLES, are refused with ValueError before anything is sampled.
     """
     _check_grid(grid)
-    if not _is_int(m) or m < 0:
+    if _int(m, "norm level") < 0:
         raise ValueError("norm level must be a nonnegative integer")
     if m > _MAX_LEVEL:
         raise ValueError(f"norm level above {_MAX_LEVEL}")

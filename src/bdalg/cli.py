@@ -29,7 +29,6 @@ from __future__ import annotations
 import importlib
 import json
 import sys
-from fractions import Fraction
 
 
 def _dumps(doc, fmt: str) -> str:
@@ -69,19 +68,14 @@ def _gather(json_file, **inline) -> dict:
 
 
 def _as_int(v, name: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{name} must be an integer")
-    return v
+    from .supernatural import _int  # here, so that importing the CLI loads no layer
+    return _int(v, name)
 
 
-def _as_fraction(v, name: str) -> Fraction:
-    """An int, a "p/q" or decimal string, or a float read by its decimal repr."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise ValueError(f"{name} must be an exact rational")
-    try:
-        return Fraction(v) if not isinstance(v, float) else Fraction(str(v))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"{name} must be an exact rational: {e}")
+def _as_fraction(v, name: str):
+    """What supernatural._rational reads, or a float read by its decimal repr."""
+    from .supernatural import _rational
+    return _rational(str(v) if isinstance(v, float) else v, name)
 
 
 def _raw(v, name: str):

@@ -20,7 +20,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .supernatural import _is_int, factorize
+from .supernatural import _Frozen, _int, _rational, factorize
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,18 +107,8 @@ def _normal(order: int, terms: dict) -> tuple:
 
 # ---------------------------------------------------------------------------
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
-
-
 def _as_cyclo(c) -> "Cyclo":
-    """A Cyclo as is; an exact rational as a Cyclo of order 1."""
+    """A Cyclo as is; an exact rational (see _rational) as a Cyclo of order 1."""
     return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
@@ -131,34 +121,38 @@ _MAX_PRECISION = 10_000
 # basis at a prime order p.
 _MAX_ORDER = 10 ** 6
 
+_ONE = Fraction(1)
 
-class Cyclo:
+
+def _order(n) -> int:
+    """n if it is an int in [1, _MAX_ORDER]; ValueError otherwise."""
+    if _int(n, "order") < 1:
+        raise ValueError("order must be positive")
+    if n > _MAX_ORDER:
+        raise ValueError(f"order above {_MAX_ORDER}")
+    return n
+
+
+class Cyclo(_Frozen):
     """A number in Q(zeta_order) on the root-of-unity basis.
 
-    Immutable by convention; ``terms`` maps exponents in [0, order) to nonzero
-    rational coefficients.  Equal values may have different ``order`` and
-    ``terms``; ``==``, ``hash`` and ``to_json`` read the canonical form.
-    Orders above _MAX_ORDER, given or reached as the lcm of two orders, are
-    refused with ValueError.
+    ``terms`` maps exponents in [0, order) to nonzero rational coefficients.  The
+    constructor takes a mapping or (exponent, coefficient) pairs and sums the
+    coefficients of exponents equal mod the order.  Equal values may have
+    different ``order`` and ``terms``; ``==``, ``hash`` and ``to_json`` read the
+    canonical form.  Orders above _MAX_ORDER, given or reached as the lcm of
+    two orders, are refused with ValueError.
     """
 
     __slots__ = ("order", "terms", "_canon")
 
     def __init__(self, order: int, terms=None):
-        if order < 1:
-            raise ValueError("order must be positive")
-        if order > _MAX_ORDER:
-            raise ValueError(f"order above {_MAX_ORDER}")
+        order = _order(order)
         clean: dict = {}
-        for e, c in (terms or {}).items():
-            e, c = int(e) % order, _as_fraction(c)
+        for e, c in terms.items() if isinstance(terms, dict) else terms or ():
+            e, c = _int(e, "exponent") % order, _rational(c, "coefficient")
             clean[e] = clean[e] + c if e in clean else c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-        object.__setattr__(self, "_canon", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cyclo values are immutable")
+        self._init(order, {e: c for e, c in clean.items() if c}, None)
 
     # -- constructors -------------------------------------------------------
 
@@ -173,11 +167,12 @@ class Cyclo:
 
     @classmethod
     def from_rational(cls, c) -> "Cyclo":
-        return cls(1, {0: _as_fraction(c)})
+        c = _rational(c, "value")
+        return cls._raw(1, {0: c} if c else {})
 
     @classmethod
     def zero(cls) -> "Cyclo":
-        return cls(1, {})
+        return cls._raw(1, {})
 
     @classmethod
     def one(cls) -> "Cyclo":
@@ -203,12 +198,11 @@ class Cyclo:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _pair(self, other):
+    def _pair(self, other: "Cyclo"):
         """(n, terms of self, terms of other) in Q(zeta_n), n the lcm of the orders.
 
         An operand whose canonical form is known and shorter than its raw
         terms enters on the canonical form."""
-        other = _as_cyclo(other)  # raises TypeError if not rational
         (m, a), (k, b) = [x._canon if x._canon and len(x._canon[1]) < len(x.terms)
                           else (x.order, x.terms) for x in (self, other)]
         if m == k:
@@ -221,9 +215,10 @@ class Cyclo:
 
     def __add__(self, other):
         try:
-            n, terms, b = self._pair(other)
-        except TypeError:
+            other = _as_cyclo(other)
+        except ValueError:
             return NotImplemented
+        n, terms, b = self._pair(other)
         terms = dict(terms)
         for e, c in b.items():
             s = terms[e] + c if e in terms else c
@@ -240,9 +235,10 @@ class Cyclo:
 
     def __sub__(self, other):
         try:
-            return self + -_as_cyclo(other)
-        except TypeError:
+            other = _as_cyclo(other)
+        except ValueError:
             return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -250,8 +246,8 @@ class Cyclo:
     def __mul__(self, other):
         if not isinstance(other, Cyclo):
             try:
-                c = _as_fraction(other)
-            except TypeError:
+                c = _rational(other, "factor")
+            except ValueError:
                 return NotImplemented
             if not c:
                 return Cyclo._raw(self.order, {})
@@ -293,7 +289,11 @@ class Cyclo:
         return others * (1 / (self * others).as_rational())
 
     def __truediv__(self, other):
-        return self * _as_cyclo(other).inverse()
+        try:
+            other = _as_cyclo(other)
+        except ValueError:
+            return NotImplemented
+        return self * other.inverse()
 
     # -- numerics --------------------------------------------------------------
 
@@ -330,7 +330,7 @@ class Cyclo:
     # -- comparison / io ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is int or other.__class__ is Fraction:
             other = Cyclo.from_rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
@@ -351,19 +351,10 @@ class Cyclo:
     def from_json(cls, obj) -> "Cyclo":
         if not isinstance(obj, dict) or set(obj) != {"order", "terms"}:
             raise ValueError('cyclotomic value must be {"order": N, "terms": [...]}')
-        if not _is_int(obj["order"]):
-            raise ValueError("order must be an integer")
-        if not isinstance(obj["terms"], list):
+        terms = obj["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(it, list) and len(it) == 2 for it in terms):
             raise ValueError("terms must be a list of [exponent, coefficient] pairs")
-        terms = {}
-        for it in obj["terms"]:
-            if not isinstance(it, list) or len(it) != 2:
-                raise ValueError("terms must be [exponent, coefficient] pairs")
-            if not _is_int(it[0]):
-                raise ValueError("exponents must be integers")
-            if not (_is_int(it[1]) or isinstance(it[1], str)):
-                raise ValueError("coefficients must be integers or exact rational strings")
-            terms[it[0]] = Fraction(it[1])
         return cls(obj["order"], terms)
 
     def __repr__(self):
@@ -386,6 +377,4 @@ def root_of_unity(k: int, n: int) -> Cyclo:
     >>> root_of_unity(2, 6) == root_of_unity(1, 3)
     True
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    return Cyclo(n, {k % n: Fraction(1)})
+    return Cyclo._raw(_order(n), {_int(k, "exponent") % n: _ONE})

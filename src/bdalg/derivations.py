@@ -15,40 +15,34 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bd_algebra import BDElement, _label
 from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn, character
-from .supernatural import SupernaturalNumber, _is_int
+from .supernatural import SupernaturalNumber, _Frozen, _int
 
 
 def _commutator(x: BDElement, b: BDElement) -> BDElement:
     return x * b - b * x
 
 
-@dataclass(frozen=True)
-class DerivationData:
-    """Finite data (C, G, {F_n}) for C*delta_label + [M_G, .] + sum [U^n M_{F_n}, .]."""
+class DerivationData(_Frozen):
+    """Finite data (C, G, {F_n}) for C*delta_label + [M_G, .] + sum [U^n M_{F_n}, .];
+    C is a Cyclo or an exact rational (see _rational)."""
 
-    constant: Cyclo
-    invariant_fn: LocConstFn
-    covariant: dict = field(default_factory=dict)
+    __slots__ = ("constant", "invariant_fn", "covariant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", _as_cyclo(self.constant))
-        if not self.invariant_fn.haar_integral().is_zero():
+    def __init__(self, constant, invariant_fn: LocConstFn, covariant: dict = None):
+        if not invariant_fn.haar_integral().is_zero():
             raise ValueError("the inner diagonal part must have mean zero")
         clean = {}
-        for n, f in self.covariant.items():
-            if not _is_int(n):
-                raise ValueError(f"covariant index {n!r} is not an integer")
-            if n == 0:
+        for n, f in (covariant or {}).items():
+            if _int(n, "covariant index") == 0:
                 raise ValueError("covariant indices must be nonzero")
             if not f.is_zero():
                 clean[n] = f
-        object.__setattr__(self, "covariant", clean)
+        self._init(_as_cyclo(constant), invariant_fn, clean)
 
     @classmethod
     def zero(cls) -> "DerivationData":
@@ -87,11 +81,9 @@ class DerivationData:
         if not isinstance(obj, dict) or set(obj) != {"C", "G", "covariant"}:
             raise ValueError('derivation data must be {"C": ..., "G": ..., "covariant": {...}}')
         c = obj["C"]
-        if not (isinstance(c, (dict, str)) or _is_int(c)) or not isinstance(obj["covariant"], dict):
-            raise ValueError("C must be a rational string, an integer or a cyclotomic "
-                             "value, and covariant an object")
-        constant = Cyclo.from_json(c) if isinstance(c, dict) else Cyclo.from_rational(Fraction(c))
-        return cls(constant,
+        if not isinstance(obj["covariant"], dict):
+            raise ValueError("covariant must be an object mapping labels to functions")
+        return cls(Cyclo.from_json(c) if isinstance(c, dict) else c,
                    LocConstFn.from_json(obj["G"]),
                    {_label(n): LocConstFn.from_json(f)
                     for n, f in obj["covariant"].items()})

@@ -31,32 +31,28 @@ the K-invariant module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .supernatural import _is_int, factorize
+from .supernatural import _Frozen, _int, factorize
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A dense integer matrix."""
+class IntMatrix(_Frozen):
+    """A dense integer matrix; entries is a row-major tuple of tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple  # row-major tuple of tuples
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if not all(_is_int(d) and d >= 0 for d in (self.rows, self.cols)):
+    def __init__(self, rows: int, cols: int, entries):
+        if _int(rows, "matrix dimensions") < 0 or _int(cols, "matrix dimensions") < 0:
             raise ValueError("matrix dimensions must be nonnegative integers")
-        if not isinstance(self.entries, (tuple, list)) or not all(
-                isinstance(r, (tuple, list)) for r in self.entries):
+        if not isinstance(entries, (tuple, list)) or not all(
+                isinstance(r, (tuple, list)) for r in entries):
             raise ValueError("entries must be a sequence of rows")
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match the declared shape")
-        for r in self.entries:
+        for r in entries:
             for v in r:
-                if not _is_int(v):
-                    raise ValueError(f"non-integer entry {v!r}")
+                _int(v, "entry")
+        self._init(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -95,31 +91,35 @@ class IntMatrix:
         if not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}:
             raise ValueError('matrix must be {"rows": r, "cols": c, "entries": [...]}')
         r, c, flat = obj["rows"], obj["cols"], obj["entries"]
-        if not _is_int(r) or not _is_int(c):
-            raise ValueError("rows and cols must be integers")
-        if not isinstance(flat, list) or len(flat) != r * c:
+        if not isinstance(flat, list):
             raise ValueError("entries must be a row-major list of length rows*cols")
-        return cls(r, c, tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r)))
+        try:
+            rows = [flat[i * c:(i + 1) * c] for i in range(r)]
+        except TypeError:  # rows or cols is not an int: the constructor names it
+            rows = None
+        matrix = cls(r, c, rows)
+        if r * c != len(flat):
+            raise ValueError("entries must be a row-major list of length rows*cols")
+        return matrix
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(_Frozen):
     """Z^rank plus cyclic torsion Z/d_1 + ... with d_1 | d_2 | ..., d_i >= 2."""
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if not _is_int(self.rank) or self.rank < 0:
+    def __init__(self, rank: int, torsion=()):
+        if _int(rank, "rank") < 0:
             raise ValueError("rank must be a nonnegative integer")
-        if not isinstance(self.torsion, (tuple, list)):
+        if not isinstance(torsion, (tuple, list)):
             raise ValueError("torsion must be a list")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+        torsion = tuple(torsion)
         prev = 1
-        for d in self.torsion:
-            if not _is_int(d) or d < 2 or d % prev != 0:
-                raise ValueError(f"torsion coefficients must form a divisor chain, got {self.torsion}")
+        for d in torsion:
+            if _int(d, "torsion coefficient") < 2 or d % prev != 0:
+                raise ValueError(f"torsion coefficients must form a divisor chain, got {torsion}")
             prev = d
+        self._init(rank, torsion)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}

@@ -17,33 +17,31 @@ integers.  Only that statement is carried here; nothing in it is finite data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .bd_algebra import BDElement
 from .odometer_fn import LocConstFn
 from .profinite import DivisorChain, ProfiniteInt
-from .supernatural import SupernaturalNumber, _is_int
+from .supernatural import SupernaturalNumber, _Frozen, _int, _rational
 
 
-@dataclass(frozen=True)
-class GSRational:
+class GSRational(_Frozen):
     """A reduced fraction whose denominator divides the ambient supernatural
     number; the value of a K0 class under the trace pairing."""
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den < 1:
+    def __init__(self, num: int, den: int):
+        if _int(den, "denominator") < 1:
             raise ValueError("denominator must be positive")
-        from math import gcd
-        if gcd(self.num, self.den) != 1 and not (self.num == 0 and self.den == 1):
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
+        if math.gcd(_int(num, "numerator"), den) != 1:
+            raise ValueError(f"{num}/{den} is not reduced")
+        self._init(num, den)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "GSRational":
-        q = Fraction(q)
+        q = _rational(q, "class value")
         return cls(q.numerator, q.denominator)
 
     def as_fraction(self) -> Fraction:
@@ -62,7 +60,7 @@ class GSRational:
     def from_json(cls, obj) -> "GSRational":
         if not isinstance(obj, str):
             raise ValueError('class value must be a "num/den" string')
-        return cls.from_fraction(Fraction(obj))
+        return cls.from_fraction(obj)
 
 
 def residue_projection(l: int, j: int, S: SupernaturalNumber) -> BDElement:
@@ -123,7 +121,7 @@ def hom_obstruction(l: int, a: int, chain: DivisorChain) -> int:
         f"chain too shallow: every ratio up to {chain.top}//{l} divides {a}")
 
 
-class PhiFn:
+class PhiFn(_Frozen):
     """An integer-valued function on (level, residue) pairs, stored at the top.
 
     The value at a coarser level l | l_N is the sum over its residue class,
@@ -133,14 +131,10 @@ class PhiFn:
     __slots__ = ("chain", "top")
 
     def __init__(self, chain: DivisorChain, top):
-        top = tuple(int(v) for v in top)
+        top = tuple([_int(v, "top value") for v in top])
         if len(top) != chain.top:
             raise ValueError(f"need {chain.top} top-level values, got {len(top)}")
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "top", top)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PhiFn values are immutable")
+        self._init(chain, top)
 
     @classmethod
     def zero(cls, chain: DivisorChain) -> "PhiFn":
@@ -268,10 +262,9 @@ class PhiFn:
     def from_json(cls, obj) -> "PhiFn":
         if not isinstance(obj, dict) or set(obj) != {"chain", "top"}:
             raise ValueError('phi function must be {"chain": [...], "top": [...]}')
-        chain = DivisorChain.from_json(obj["chain"])
-        if not isinstance(obj["top"], list) or not all(_is_int(v) for v in obj["top"]):
+        if not isinstance(obj["top"], list):
             raise ValueError("top must be a list of integers")
-        return cls(chain, obj["top"])
+        return cls(DivisorChain.from_json(obj["chain"]), obj["top"])
 
     def __repr__(self):
         return f"PhiFn(chain={self.chain.levels}, top={self.top})"

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .profinite import ProfiniteInt
-from .supernatural import _is_int
+from .supernatural import _Frozen, _int
 
 
-class LocConstFn:
+class LocConstFn(_Frozen):
     """An l-periodic sequence of exact cyclotomic values."""
 
     __slots__ = ("period", "values")
@@ -29,11 +29,8 @@ class LocConstFn:
         vals = tuple(_as_cyclo(v) for v in values)
         if not vals:
             raise ValueError("a function needs at least one value")
-        object.__setattr__(self, "period", len(vals))
+        object.__setattr__(self, "period", len(vals))  # not _init: this runs on every operation
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LocConstFn values are immutable")
 
     @classmethod
     def constant(cls, c, period: int = 1) -> "LocConstFn":
@@ -150,7 +147,7 @@ class LocConstFn:
         if not isinstance(obj["values"], list):
             raise ValueError("function values must be a list")
         vals = [Cyclo.from_json(v) for v in obj["values"]]
-        if not _is_int(obj["period"]) or len(vals) != obj["period"]:
+        if _int(obj["period"], "period") != len(vals):
             raise ValueError("period does not match the number of values")
         return cls(vals)
 

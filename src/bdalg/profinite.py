@@ -7,38 +7,36 @@ below is pure and exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .supernatural import SupernaturalNumber, _is_int
+from .supernatural import SupernaturalNumber, _Frozen, _int
 
 
-@dataclass(frozen=True)
-class DivisorChain:
+class DivisorChain(_Frozen):
     """Strictly increasing divisors l_1 | l_2 | ... | l_N (l_0 = 1 implicit).
 
     The ambient supernatural number is optional; when present every level must
     divide it.
     """
 
-    levels: tuple
-    S: SupernaturalNumber = None
+    __slots__ = ("levels", "S")
 
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, levels, S: SupernaturalNumber = None):
+        levels = tuple(levels)
+        if not levels:
             raise ValueError("chain needs at least one level")
         prev = 1
-        for l in self.levels:
-            if not isinstance(l, int) or l <= prev:
-                raise ValueError(f"levels must be strictly increasing, got {self.levels}")
+        for l in levels:
+            if _int(l, "chain level") <= prev:
+                raise ValueError(f"levels must be strictly increasing, got {levels}")
             if l % prev != 0:
                 raise ValueError(f"{prev} does not divide {l}")
-            if self.S is not None and not self.S.divisible_by(l):
-                raise ValueError(f"{l} does not divide {self.S}")
+            if S is not None and not S.divisible_by(l):
+                raise ValueError(f"{l} does not divide {S}")
             prev = l
+        self._init(levels, S)
 
     @classmethod
     def of(cls, levels, S: SupernaturalNumber = None) -> "DivisorChain":
-        return cls(tuple(int(l) for l in levels), S)
+        return cls(levels, S)
 
     @property
     def top(self) -> int:
@@ -86,27 +84,27 @@ class DivisorChain:
 
     @classmethod
     def from_json(cls, obj, S: SupernaturalNumber = None) -> "DivisorChain":
-        if not isinstance(obj, list) or not all(_is_int(l) for l in obj):
+        if not isinstance(obj, list):
             raise ValueError("chain must be a list of integers")
-        return cls.of(obj, S)
+        return cls(obj, S)
 
 
-@dataclass(frozen=True)
-class ProfiniteInt:
+class ProfiniteInt(_Frozen):
     """A truncated odometer element: digits a_n with 0 <= a_n < l_n/l_{n-1}.
 
     The residue represented at level n is sum_{k<=n} a_k l_{k-1}.
     """
 
-    chain: DivisorChain
-    digits: tuple
+    __slots__ = ("chain", "digits")
 
-    def __post_init__(self):
-        if len(self.digits) != self.chain.depth:
+    def __init__(self, chain: DivisorChain, digits):
+        digits = tuple(digits)
+        if len(digits) != chain.depth:
             raise ValueError("one digit per chain level required")
-        for a, base in zip(self.digits, self.chain.bases):
-            if not isinstance(a, int) or not 0 <= a < base:
+        for a, base in zip(digits, chain.bases):
+            if not 0 <= _int(a, "digit") < base:
                 raise ValueError(f"digit {a} out of range [0, {base})")
+        self._init(chain, digits)
 
     def value(self) -> int:
         """The top-level residue in [0, l_N)."""
@@ -152,8 +150,6 @@ class ProfiniteInt:
     def from_json(cls, obj, S: SupernaturalNumber = None) -> "ProfiniteInt":
         if not isinstance(obj, dict) or set(obj) != {"chain", "digits"}:
             raise ValueError('profinite integer must be {"chain": [...], "digits": [...]}')
-        chain = DivisorChain.from_json(obj["chain"], S)
-        digits = obj["digits"]
-        if not isinstance(digits, list) or not all(_is_int(a) for a in digits):
+        if not isinstance(obj["digits"], list):
             raise ValueError("digits must be a list of integers")
-        return cls(chain, tuple(digits))
+        return cls(DivisorChain.from_json(obj["chain"], S), obj["digits"])

@@ -5,18 +5,74 @@ A supernatural number encodes a divisibility type.  Only finitely many primes
 may carry a nonzero exponent in this representation; every computation in the
 package touches finitely many divisors at a time, so this restriction costs
 nothing while keeping arithmetic exact.
+
+Every layer checks its scalars with the two readers here, _int (a plain int)
+and _rational (an int, Fraction or "p/q" string, as a Fraction); both refuse
+bool and float with ValueError.  _Frozen is the base of the value classes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from fractions import Fraction
 
 INF = math.inf
 
 
-def _is_int(x) -> bool:
-    """True for a plain integer; bool is an int subclass and is refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _int(x, what: str) -> int:
+    """x if it is a plain int; ValueError for anything else, bool and float included."""
+    if x.__class__ is not int:
+        raise ValueError(f"non-integer {what}: {x!r}")
+    return x
+
+
+def _rational(x, what: str) -> Fraction:
+    """x as a Fraction: an int, a Fraction or a string such as "p/q" or "0.5".
+    ValueError for anything else, bool and float included."""
+    if x.__class__ is Fraction:
+        return x
+    if x.__class__ is int or x.__class__ is str:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} is not an exact rational: {x!r}")
+
+
+class _Frozen:
+    """Base of the immutable values: a subclass lists its fields in __slots__ and
+    sets them once, by _init, in a constructor that checks them.  ==, hash and
+    repr read the fields as a frozen dataclass would."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # for copy and pickle: object.__getstate__ gives (None, slots)
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -93,44 +149,48 @@ def prime_index(p: int) -> int:
     return sieve.count(1)
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
-    """Formal product ``prod p^e``, stored as ascending (prime, exponent) pairs."""
+def _pairs(items) -> list:
+    """(prime, exponent) pairs with "inf" read as INF and integer 0 exponents dropped."""
+    return [(p, INF if e == "inf" else e) for p, e in items if e != 0 or e.__class__ is not int]
 
-    factors: tuple = ()
 
-    def __post_init__(self):
+class SupernaturalNumber(_Frozen):
+    """Formal product ``prod p^e``, stored as ascending (prime, exponent) pairs,
+    each exponent a positive int or INF."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors=()):
+        factors = tuple(factors)
         last = 1
-        for p, e in self.factors:
-            if not isinstance(p, int) or not is_prime(p):
+        for p, e in factors:
+            if not is_prime(_int(p, "prime")):
                 raise ValueError(f"{p!r} is not a prime")
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
-            if e != INF and (not isinstance(e, int) or e < 1):
+            if e is not INF and _int(e, "exponent") < 1:
                 raise ValueError(f"bad exponent {e!r} for prime {p}")
             last = p
+        self._init(factors)
 
     @classmethod
     def of(cls, factors) -> "SupernaturalNumber":
-        """Build from a {prime: exponent} mapping or pair iterable.
+        """Build from a {prime: exponent} mapping or pair iterable, in any order.
 
         Exponents may be given as positive ints, ``INF`` or the string "inf";
         zero exponents are dropped.
         """
-        items = factors.items() if isinstance(factors, dict) else factors
-        norm = []
-        for p, e in items:
-            if e == "inf":
-                e = INF
-            if e == 0:
-                continue
-            norm.append((int(p), e if e == INF else int(e)))
-        return cls(tuple(sorted(norm)))
+        pairs = _pairs(factors.items() if isinstance(factors, dict) else factors)
+        try:
+            pairs.sort()
+        except TypeError:
+            pass  # a prime that is not a number: the constructor names it
+        return cls(pairs)
 
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         merged: dict[int, object] = dict(self.factors)
         for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
+            merged[p] = INF if INF in (e, merged.get(p)) else merged.get(p, 0) + e
         return SupernaturalNumber.of(merged)
 
     def divisible_by(self, l: int) -> bool:
@@ -213,14 +273,7 @@ class SupernaturalNumber:
         if not isinstance(obj, list) or not all(
                 isinstance(it, list) and len(it) == 2 for it in obj):
             raise ValueError("supernatural number must be a list of [prime, exponent] pairs")
-        pairs = [tuple(it) for it in obj]
-        for p, e in pairs:
-            if not _is_int(p) or not (_is_int(e) or e == "inf"):
-                raise ValueError("primes must be integers and exponents integers or \"inf\"")
-        for i in range(1, len(pairs)):
-            if pairs[i][0] <= pairs[i - 1][0]:
-                raise ValueError("primes must be ascending")
-        return cls.of(pairs)
+        return cls(_pairs(obj))
 
     def __str__(self) -> str:
         if not self.factors:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bd_algebra import BDElement, _assemble_norm, _base_norms
@@ -30,25 +29,21 @@ from .homalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
 from .k_invariants import GSRational, PhiFn, k0_class, residue_projection
 from .odometer_fn import LocConstFn, character
 from .profinite import DivisorChain
-from .supernatural import INF, SupernaturalNumber
+from .supernatural import INF, SupernaturalNumber, _Frozen
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    statement: str
-    cases_run: int
-    cases_passed: int
-    first_counterexample: dict
-    duration_s: float
-    seed: int
-    scale: str
+class VerifyReport(_Frozen):
+    __slots__ = ("suite", "statement", "cases_run", "cases_passed", "first_counterexample",
+                 "duration_s", "seed", "scale")
 
-    def __post_init__(self):
-        if self.cases_passed > self.cases_run:
+    def __init__(self, suite: str, statement: str, cases_run: int, cases_passed: int,
+                 first_counterexample: dict, duration_s: float, seed: int, scale: str):
+        if cases_passed > cases_run:
             raise ValueError("passed cannot exceed run")
-        if (self.first_counterexample is not None) != (self.cases_passed < self.cases_run):
+        if (first_counterexample is not None) != (cases_passed < cases_run):
             raise ValueError("counterexample must be present exactly when cases fail")
+        self._init(suite, statement, cases_run, cases_passed, first_counterexample,
+                   duration_s, seed, scale)
 
     @property
     def passed(self) -> bool:

@@ -374,6 +374,13 @@ def test_malformed_document_exit_1(capsys, argv):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("terms", ['[[0,"1"],[0,"-1"]]', '[[0,"1"],[2,"-1"]]'],
+                         ids=["same-exponent", "same-exponent-mod-order"])
+def test_repeated_exponents_are_summed(capsys, terms):
+    code, doc = run_json(capsys, "cyc", "iszero", "--a", '{"order":2,"terms":' + terms + '}')
+    assert code == 0 and doc == {"is_zero": True}
+
+
 def test_missing_argument_exit_1(capsys):
     code, doc = run_json(capsys, "sn", "gcd", "--n", "10")
     assert code == 1

@@ -1,7 +1,13 @@
+import copy
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bdalg import INF, SupernaturalNumber
+from bdalg import (INF, BDElement, Cyclo, DivisorChain, GSRational, PhiFn, ProfiniteInt,
+                   SupernaturalNumber, root_of_unity)
 from bdalg.supernatural import is_prime, prime_index
 
 S23 = SupernaturalNumber.of({2: INF, 3: INF})
@@ -95,6 +101,48 @@ def test_rejects_bad_input():
         SupernaturalNumber(((3, 1), (2, 1)))
     with pytest.raises(ValueError):
         SupernaturalNumber.from_json([[2, -1]])
+
+
+# Each call used to truncate a float or read a bool as 0 or 1; the scalar readers
+# of bdalg.supernatural refuse both.
+SLIPS = {
+    "exponent-float": lambda: SupernaturalNumber.of({2: 2.5}),
+    "prime-float": lambda: SupernaturalNumber.of({2.9: 1}),
+    "exponent-bool": lambda: SupernaturalNumber(((2, True),)),
+    "chain-level-float": lambda: DivisorChain.of([2.5, 4]),
+    "digit-bool": lambda: ProfiniteInt(DivisorChain.of([2, 4]), (True, 1)),
+    "cyclo-exponent-float": lambda: Cyclo(4, {1.7: 1}),
+    "cyclo-coefficient-bool": lambda: Cyclo(4, {1: True}),
+    "cyclo-order-bool": lambda: Cyclo(True, {0: 1}),
+    "root-exponent-float": lambda: root_of_unity(1.5, 4),
+    "phi-top-float-and-bool": lambda: PhiFn(DivisorChain.of([2]), [1.9, True]),
+    "class-numerator-bool": lambda: GSRational(True, 2),
+    "angle-bool": lambda: BDElement.shift(S23).circle_action(True),
+}
+
+
+@pytest.mark.parametrize("call", SLIPS.values(), ids=SLIPS.keys())
+def test_constructors_refuse_floats_and_bools(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("value", [S23, DivisorChain.of([2, 6], S23), Cyclo(4, {1: 1, 3: "1/2"}),
+                                   GSRational(1, 6)], ids=lambda v: type(v).__name__)
+def test_values_survive_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    with pytest.raises(AttributeError):
+        twin.extra = 1
+
+
+@pytest.mark.parametrize("module", ["bdalg.supernatural", "bdalg.homalg", "bdalg.verify"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_is_prime_matches_sieve():
