@@ -17,17 +17,18 @@ verb uses, and a wrapper installed on a module attribute (a profiler) sees it.
 
 `main` matches argv against the table with the standard library alone.  An
 option is `--opt value` or `--opt=value`; given twice, its last value counts.
-Values are JSON (text that is not JSON stays a string); `--json FILE` (`-` for
-stdin) supplies missing options from a JSON object keyed by option name.  The
-result is printed with `to_json()` applied, keys sorted and floats in repr
-(`--format pretty|compact`).  Exit codes: 0 success, 1 invalid input, usage
-errors included, with the document {"error": {"type", "message"}} (a usage
-error is a ValueError), 2 verification failure.
+Values are JSON with no NaN or infinity (text that is not JSON stays a string);
+`--json FILE` (`-` for stdin) supplies missing options from a JSON object keyed
+by option name.  The result is printed with `to_json()` applied, keys sorted
+and floats in repr (`--format pretty|compact`).  Exit codes: 0 success, 1
+invalid input, usage errors included, with the document {"error": {"type",
+"message"}} (a usage error is a ValueError), 2 verification failure.
 """
 from __future__ import annotations
 
 import importlib
 import json
+import math
 import sys
 
 
@@ -43,11 +44,22 @@ def _dumps(doc, fmt: str) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
+# Reads JSON with NaN and infinity refused, spelled out (Infinity) or overflowed (1e400).
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def _value(text: str):
     """An option's text read as JSON; text that is not JSON (a bare word such
     as a mode name, a fraction) stays a string, so it needs no quoting."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError:
         return text
 
@@ -56,10 +68,10 @@ def _gather(json_file, **inline) -> dict:
     """Merge the option texts given inline with a JSON document; inline wins."""
     data = {}
     if json_file == "-":
-        data = json.load(sys.stdin)
+        data = _DECODER.decode(sys.stdin.read())
     elif json_file:
         with open(json_file) as fh:
-            data = json.load(fh)
+            data = _DECODER.decode(fh.read())
     if not isinstance(data, dict):
         raise ValueError("--json document must be an object")
     if set(data) - set(inline):

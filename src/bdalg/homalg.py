@@ -90,17 +90,11 @@ class IntMatrix(_Frozen):
     def from_json(cls, obj) -> "IntMatrix":
         if not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}:
             raise ValueError('matrix must be {"rows": r, "cols": c, "entries": [...]}')
-        r, c, flat = obj["rows"], obj["cols"], obj["entries"]
-        if not isinstance(flat, list):
+        r, c = _int(obj["rows"], "matrix dimensions"), _int(obj["cols"], "matrix dimensions")
+        flat = obj["entries"]
+        if not isinstance(flat, list) or r * c != len(flat):
             raise ValueError("entries must be a row-major list of length rows*cols")
-        try:
-            rows = [flat[i * c:(i + 1) * c] for i in range(r)]
-        except TypeError:  # rows or cols is not an int: the constructor names it
-            rows = None
-        matrix = cls(r, c, rows)
-        if r * c != len(flat):
-            raise ValueError("entries must be a row-major list of length rows*cols")
-        return matrix
+        return cls(r, c, [flat[i * c:(i + 1) * c] for i in range(r)])
 
 
 class FGAbelianGroup(_Frozen):

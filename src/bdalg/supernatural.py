@@ -42,7 +42,7 @@ def _rational(x, what: str) -> Fraction:
 class _Frozen:
     """Base of the immutable values: a subclass lists its fields in __slots__ and
     sets them once, by _init, in a constructor that checks them.  ==, hash and
-    repr read the fields as a frozen dataclass would."""
+    repr read the fields in order; repr is Name(field=value, ...)."""
 
     __slots__ = ()
 
@@ -156,12 +156,12 @@ def _pairs(items) -> list:
 
 class SupernaturalNumber(_Frozen):
     """Formal product ``prod p^e``, stored as ascending (prime, exponent) pairs,
-    each exponent a positive int or INF."""
+    each exponent a positive int or INF (any float equal to INF is stored as INF)."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
-        factors = tuple(factors)
+        factors = tuple((p, INF if e == INF else e) for p, e in factors)
         last = 1
         for p, e in factors:
             if not is_prime(_int(p, "prime")):
@@ -180,17 +180,12 @@ class SupernaturalNumber(_Frozen):
         Exponents may be given as positive ints, ``INF`` or the string "inf";
         zero exponents are dropped.
         """
-        pairs = _pairs(factors.items() if isinstance(factors, dict) else factors)
-        try:
-            pairs.sort()
-        except TypeError:
-            pass  # a prime that is not a number: the constructor names it
-        return cls(pairs)
+        return cls(sorted(_pairs(factors.items() if isinstance(factors, dict) else factors)))
 
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         merged: dict[int, object] = dict(self.factors)
         for p, e in other.factors:
-            merged[p] = INF if INF in (e, merged.get(p)) else merged.get(p, 0) + e
+            merged[p] = merged.get(p, 0) + e
         return SupernaturalNumber.of(merged)
 
     def divisible_by(self, l: int) -> bool:

@@ -367,6 +367,8 @@ def test_invalid_input_exit_1(capsys):
     ("fn", "haar", "--f", '{"period":true,"values":[{"order":1,"terms":[[0,"1"]]}]}'),
     *[("cyc", "scale", "--a", CYC, "--c", c) for c in ("[1]", "{}", "null", "[[1]]", "true")],
     *[("bd", "rho", "--a", BDE, "--theta", t) for t in ("[1]", "{}", "null", "[[1]]", "true")],
+    # a JSON number that is not finite, spelled out or overflowed
+    *[("sn", "mul", "--a", f"[[2,{e}]]", "--b", SN) for e in ("Infinity", "1e400", "NaN", "-Infinity")],
 ])
 def test_malformed_document_exit_1(capsys, argv):
     code, doc = run_json(capsys, *argv)
@@ -379,6 +381,13 @@ def test_malformed_document_exit_1(capsys, argv):
 def test_repeated_exponents_are_summed(capsys, terms):
     code, doc = run_json(capsys, "cyc", "iszero", "--a", '{"order":2,"terms":' + terms + '}')
     assert code == 0 and doc == {"is_zero": True}
+
+
+def test_json_file_refuses_an_infinite_number(capsys, tmp_path):
+    doc_file = tmp_path / "args.json"
+    doc_file.write_text('{"a":[[2,Infinity]],"b":' + SN + '}')
+    code, doc = run_json(capsys, "sn", "mul", "--json", str(doc_file))
+    assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
 def test_missing_argument_exit_1(capsys):

@@ -327,6 +327,20 @@ def test_matrix_refuses_inexact_dimensions(rows, cols):
         IntMatrix(rows, cols, ((1,),))
 
 
+class _Uncuttable(list):
+    """An entry list that fails if it is cut into rows."""
+
+    def __getitem__(self, i):
+        raise AssertionError("entries were cut before their count was checked")
+
+
+def test_matrix_document_checks_the_entry_count_before_any_row():
+    # A 10^9-row declaration with one entry must be refused before O(rows) work;
+    # an entry list that cannot be cut fails at once, not after 10^9 allocations.
+    with pytest.raises(ValueError, match="rows\\*cols"):
+        IntMatrix.from_json({"rows": 10 ** 9, "cols": 1, "entries": _Uncuttable([1])})
+
+
 def test_matrix_from_lists_equals_matrix_from_tuples():
     A = IntMatrix(2, 2, [[1, 2], [3, 4]])
     B = IntMatrix.from_rows([(1, 2), (3, 4)])

@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,6 +135,14 @@ def test_values_survive_copy_and_pickle(value):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
     with pytest.raises(AttributeError):
         twin.extra = 1
+
+
+def test_any_infinite_float_is_an_infinite_exponent():
+    # pickle gives a new inf object, so INF is matched by value, not identity.
+    twin = pickle.loads(pickle.dumps(S23))
+    assert twin * SupernaturalNumber.of({5: 1}) == S23 * SupernaturalNumber.of({5: 1})
+    assert SupernaturalNumber.of({2: float("inf")}) == SupernaturalNumber.of({2: "inf"})
+    assert SupernaturalNumber.of({2: numpy.inf}).factors[0][1] is INF
 
 
 @pytest.mark.parametrize("module", ["bdalg.supernatural", "bdalg.homalg", "bdalg.verify"])
