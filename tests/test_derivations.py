@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import random
@@ -277,3 +278,86 @@ def test_from_json_refuses_covariant_keys_that_are_not_canonical():
 def test_constructor_refuses_covariant_indices_that_are_not_plain_integers(index):
     with pytest.raises(ValueError, match="covariant index"):
         DerivationData(0, LocConstFn.zero(), {index: F2})
+
+
+_GOLDEN_ORDERS = (1, 2, 4, 6, 9, 10, 12, 15, 72)
+
+
+def _golden_value(rng) -> Cyclo:
+    """One to three raw terms at one of _GOLDEN_ORDERS, coefficients p/q with q up
+    to 7; one value in eleven is the unreduced zero zeta_4^0 + zeta_4^2."""
+    if rng.randrange(11) == 0:
+        return Cyclo(4, {0: 1, 2: 1})
+    order = rng.choice(_GOLDEN_ORDERS)
+    return Cyclo(order, [(rng.randrange(order), Fraction(rng.randint(-9, 9) or 1,
+                                                        rng.randint(1, 7)))
+                         for _ in range(rng.randint(1, 3))])
+
+
+def _golden_corpus():
+    rng = random.Random(2024)
+    return [LocConstFn([_golden_value(rng) for _ in range(l)])
+            for l, count in ((1, 4), (2, 4), (3, 4), (5, 4), (12, 3), (24, 2), (72, 2))
+            for _ in range(count)]
+
+
+def _kernel_docs(f: LocConstFn, rng) -> dict:
+    l = f.period
+    coeffs = f.char_coefficients()
+    ks = rng.sample(range(-l, 2 * l), min(3, l)) if l > 1 else [0, 5]
+    random_coeffs = {k: _golden_value(rng) for k in ks}
+    c, g = decompose_invariant(f)
+    ft = f - LocConstFn.constant(f.haar_integral(), l)
+    return {"haar": f.haar_integral().to_json(),
+            "char": {str(k): v.to_json() for k, v in sorted(coeffs.items())},
+            "synth": synthesize(coeffs, l).to_json(),
+            "synth_random": synthesize(random_coeffs, l).to_json(),
+            "cocycle": solve_cocycle(ft).to_json(),
+            "decompose": [c.to_json(), g.to_json()]}
+
+
+# Digest of the five kernels' JSON output over _golden_corpus, taken at ea0316c,
+# when each of them summed one Cyclo per term.
+GOLDEN_KERNELS = "8f8c837a0402e1a07a163d7378cf7e7774c846456b7abd4861c7eb4ef5b3c7ac"
+
+
+def test_kernels_are_byte_identical_to_the_pinned_digest():
+    rng = random.Random(7)
+    docs = [_kernel_docs(f, rng) for f in _golden_corpus()]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_KERNELS
+
+
+def _huge(cached: bool):
+    """zeta_2000 and zeta_999, whose orders have lcm 1998000 > _MAX_ORDER, with
+    their canonical forms computed or not."""
+    a, b = root_of_unity(1, 2000), root_of_unity(1, 999)
+    if cached:
+        a.to_json(), b.to_json()
+    return a, b
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_kernels_refuse_an_lcm_above_the_order_limit(cached):
+    a, b = _huge(cached)
+    f = LocConstFn([a, b])
+    for kernel in (LocConstFn.haar_integral, LocConstFn.char_coefficients,
+                   solve_cocycle, decompose_invariant, lambda f: synthesize(
+                       dict(enumerate(f.values)), 2)):
+        with pytest.raises(ValueError, match="order above 1000000"):
+            kernel(f)
+
+
+def test_kernels_sum_a_value_on_its_cached_shorter_canonical_form():
+    # 1 + zeta_2000^1000 is zero; once its canonical form (1, {}) is known, it
+    # enters every sum at order 1, so the lcm with zeta_999 stays 999.
+    zero, b = Cyclo(2000, {0: 1, 1000: 1}), root_of_unity(1, 999)
+    assert zero.is_zero()
+    f = LocConstFn([zero, b])
+    assert f.haar_integral() == b * Fraction(1, 2)
+    assert synthesize(f.char_coefficients(), 2) == f
+    assert synthesize({0: zero, 1: b}, 2) == character(2, 1).scale(b)
+    c, g = decompose_invariant(f)
+    assert c == b * Fraction(1, 2) and g.pullback(1) - g == f - LocConstFn.constant(c, 2)
+    with pytest.raises(ValueError, match="order above 1000000"):
+        LocConstFn([Cyclo(2000, {0: 1, 1000: 1}), b]).haar_integral()
