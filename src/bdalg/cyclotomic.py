@@ -1,14 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored as rational combinations of the N-th roots of unity
-zeta_N^e, 0 <= e < N.  Sums, products and conjugates work on these raw terms.
-Equality, hashing, the zero and rational tests and the JSON form all read one
-canonical form, computed on demand and cached: the value written on the
-Zumbroich basis of Q(zeta_n) at its conductor n, the least order whose field
-holds the value (never 2 mod 4; 1 for rationals).  This is the basis GAP uses
-(W. Bosma, "Canonical bases for cyclotomic fields", AAECC 1, 1990; T. Breuer,
-"Integral bases for subfields of cyclotomic fields", AAECC 8, 1997), so equal
-values have equal canonical terms.
+zeta_N^e, 0 <= e < N.  Arithmetic works on these raw terms; _sum adds many
+values in one dict at their common order.  Equality, hashing, the zero and
+rational tests and the JSON form all read one canonical form, computed on
+demand and cached: the value written on the Zumbroich basis of Q(zeta_n) at its
+conductor n, the least order whose field holds the value (never 2 mod 4; 1 for
+rationals).  This is the basis GAP uses (W. Bosma, "Canonical bases for
+cyclotomic fields", AAECC 1, 1990; T. Breuer, "Integral bases for subfields of
+cyclotomic fields", AAECC 8, 1997), so equal values have equal canonical terms.
 
 No arithmetic here reduces modulo Phi_N.  cyclotomic_polynomial stays public and
 cached for the test oracle, which decides equality modulo Phi_N independently
@@ -198,13 +198,14 @@ class Cyclo(_Frozen):
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _pair(self, other: "Cyclo"):
-        """(n, terms of self, terms of other) in Q(zeta_n), n the lcm of the orders.
+    def _basis(self) -> tuple:
+        """(order, terms) that arithmetic reads: the canonical form if known and shorter."""
+        c = self._canon
+        return c if c and len(c[1]) < len(self.terms) else (self.order, self.terms)
 
-        An operand whose canonical form is known and shorter than its raw
-        terms enters on the canonical form."""
-        (m, a), (k, b) = [x._canon if x._canon and len(x._canon[1]) < len(x.terms)
-                          else (x.order, x.terms) for x in (self, other)]
+    def _pair(self, other: "Cyclo"):
+        """(n, terms of self, terms of other): their _basis at the lcm n of the orders."""
+        (m, a), (k, b) = self._basis(), other._basis()
         if m == k:
             return m, a, b
         n = math.lcm(m, k)
@@ -367,6 +368,22 @@ class Cyclo(_Frozen):
             else:
                 parts.append(f"{c}*z{self.order}^{e}")
         return "Cyclo(" + " + ".join(parts) + ")"
+
+
+def _sum(terms, order: int = 1) -> Cyclo:
+    """sum w * zeta_order^s * x over the triples (w, s, x) in terms, in one dict
+    at the common order n: the lcm of order and of each x's _basis order, which a
+    chain of Cyclo sums would reach.  Each x is lifted once; ValueError if n
+    exceeds _MAX_ORDER."""
+    terms = [(w, s, x._basis()) for w, s, x in terms]
+    n = _order(math.lcm(order, *(m for _, _, (m, _) in terms)) if terms else 1)
+    out: dict = {}
+    for w, s, (m, xs) in terms:
+        q, s = n // m, s * (n // order)
+        for e, c in xs.items():
+            e, c = (e * q + s) % n, c if w == 1 else c * w
+            out[e] = out[e] + c if e in out else c
+    return Cyclo._raw(n, {e: c for e, c in out.items() if c})
 
 
 def root_of_unity(k: int, n: int) -> Cyclo:

@@ -13,12 +13,11 @@ truncated non-smooth commutator counterexamples.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .bd_algebra import BDElement, _label
-from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, _sum, root_of_unity
 from .odometer_fn import LocConstFn, character
 from .supernatural import SupernaturalNumber, _Frozen, _int
 
@@ -92,16 +91,18 @@ class DerivationData(_Frozen):
 def solve_cocycle(ft: LocConstFn) -> LocConstFn:
     """Solve G o beta - G = ft with G mean zero; ft must have mean zero.
 
-    G(j) = ft(0) + ... + ft(j-1), minus its mean.  A nonzero mean of ft is the
-    obstruction (G would not be periodic), which must be split off first.
-    The values are exact sums of ft's values; their JSON form is canonical.
+    G(j) = ft(0) + ... + ft(j-1), minus its mean sum_i (l-1-i) ft(i) / l.  A
+    nonzero mean of ft is the obstruction (G would not be periodic), which must
+    be split off first.  G(0) and each step G(j+1) = G(j) + ft(j) is one _sum,
+    in a single dict at the common order; the JSON form is canonical.
     """
     if not ft.haar_integral().is_zero():
         raise ValueError("nonzero mean: split off the constant part first")
-    l = ft.period
-    partial = list(itertools.accumulate(ft.values[:-1], initial=Cyclo.zero()))
-    mean = sum(partial, Cyclo.zero()) * Fraction(1, l)
-    return LocConstFn([g - mean for g in partial])
+    l, vals = ft.period, ft.values[:-1]
+    g = [_sum((i + 1 - l, 0, v) for i, v in enumerate(vals)) * Fraction(1, l)]
+    for v in vals:
+        g.append(_sum(((1, 0, g[-1]), (1, 0, v))))
+    return LocConstFn(g)
 
 
 def decompose_invariant(f: LocConstFn):

@@ -6,16 +6,16 @@ odometer element x is values[x mod l].  Characters, the Haar mean, pullback by
 powers of the odometer map and the exact character (discrete Fourier)
 decomposition all live here.
 
-The character transform is the plain O(l^2) cyclotomic DFT.  It serves only
-the explicit decomposition: the cocycle solver works on the values directly,
-by a prefix sum.
+Each character coefficient is one sum of l values in a single dict (_sum), l^2
+term operations in all.  The transform serves only the explicit decomposition:
+the cocycle solver works on the values directly, by a prefix sum.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, _sum, root_of_unity
 from .profinite import ProfiniteInt
 from .supernatural import _Frozen, _int
 
@@ -72,7 +72,7 @@ class LocConstFn(_Frozen):
 
     def haar_integral(self) -> Cyclo:
         """The translation invariant mean: the average over one period."""
-        return sum(self.values, Cyclo.zero()) * Fraction(1, self.period)
+        return _sum((1, 0, v) for v in self.values) * Fraction(1, self.period)
 
     def char_coefficients(self) -> dict:
         """Exact character coefficients c_k with f = sum_k c_k * character(l, k).
@@ -83,8 +83,7 @@ class LocConstFn(_Frozen):
         l = self.period
         out = {}
         for k in range(l):
-            c = sum((v * root_of_unity(-j * k, l) for j, v in enumerate(self.values)),
-                    Cyclo.zero()) * Fraction(1, l)
+            c = _sum(((1, -j * k, v) for j, v in enumerate(self.values)), l) * Fraction(1, l)
             if not c.is_zero():
                 out[k] = c
         return out
@@ -167,7 +166,6 @@ def character(l: int, k: int) -> LocConstFn:
 
 def synthesize(coefficients: dict, l: int) -> LocConstFn:
     """Rebuild sum_k c_k * character(l, k) from character coefficients."""
-    out = LocConstFn.zero(l)
-    for k, c in coefficients.items():
-        out = out + character(l, k).scale(c)
-    return out
+    terms = [(1, _int(k, "character index"), _as_cyclo(c)) for k, c in coefficients.items()]
+    return LocConstFn([_sum(((w, j * k, c) for w, k, c in terms), l)
+                       for j in range(_int(l, "period"))])

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 INF = math.inf
 
+_MAX_EXPONENT = 4300  # Python's int-string digit limit: Fraction builds 10^e in full
+
 
 def _int(x, what: str) -> int:
     """x if it is a plain int; ValueError for anything else, bool and float included."""
@@ -27,13 +29,14 @@ def _int(x, what: str) -> int:
 
 
 def _rational(x, what: str) -> Fraction:
-    """x as a Fraction: an int, a Fraction or a string such as "p/q" or "0.5".
-    ValueError for anything else, bool and float included."""
+    """x as a Fraction: an int, a Fraction or a string such as "p/q", "0.5" or "1e-3"
+    (|exponent| <= _MAX_EXPONENT).  ValueError for anything else, bool and float included."""
     if x.__class__ is Fraction:
         return x
     if x.__class__ is int or x.__class__ is str:
         try:
-            return Fraction(x)
+            if x.__class__ is int or abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} is not an exact rational: {x!r}")

@@ -302,8 +302,8 @@ def _k0(rng, scale):
         yield prod == BDElement.zero(_S_K0), lambda: {"a": a, "b": b}
 
 
-@_suite("ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100; U A V = D with unimodular U, V, "
-        "and ext1_hom read off the diagonal of D")
+@_suite("ext", "Ext^1(Z/nZ, Z) = Z/nZ for n <= 100, and (Z/p)^k for a planted B diag(1, ..., "
+        "p, ..., p) C; U A V = D with unimodular U, V, and ext1_hom read off the diagonal of D")
 def _ext(rng, scale):
     for n in range(2, (100 if scale == "full" else 30) + 1):
         hom, ext = ext1_hom(IntMatrix.from_rows([[n]]))
@@ -324,6 +324,16 @@ def _ext(rng, scale):
         ok = ok and ext1_hom(a) == (FGAbelianGroup(m - len(nonzero)),
                                     FGAbelianGroup(0, tuple(x for x in nonzero if x >= 2)))
         yield ok, lambda: {"matrix": a.to_json()}
+    for _ in range(_scaled(100, scale)):  # the planted B diag(1, ..., p, ..., p) C, n <= 12
+        n, k, p = rng.randint(3, 12), rng.randint(2, 3), rng.choice((2, 3, 5, 7))
+        rows = [[(p if i >= n - k else 1) * (i == j) for j in range(n)] for i in range(n)]
+        for _ in range(6 * n):  # a row operation, then a transpose: B and C in turn
+            (i, j), t = rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+            rows = [list(c) for c in zip(*rows)]
+        a = IntMatrix.from_rows(rows)
+        yield ext1_hom(a) == (FGAbelianGroup(0), FGAbelianGroup(0, (p,) * k)), lambda: {
+            "matrix": a.to_json()}
 
 
 def run_suite(name: str, seed: int = 0, scale: str = "full") -> list:

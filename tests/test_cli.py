@@ -369,11 +369,22 @@ def test_invalid_input_exit_1(capsys):
     *[("bd", "rho", "--a", BDE, "--theta", t) for t in ("[1]", "{}", "null", "[[1]]", "true")],
     # a JSON number that is not finite, spelled out or overflowed
     *[("sn", "mul", "--a", f"[[2,{e}]]", "--b", SN) for e in ("Infinity", "1e400", "NaN", "-Infinity")],
+    # a decimal exponent beyond the int-string digit limit, refused before 10^e is built
+    *[("cyc", "iszero", "--a", '{"order":1,"terms":[[0,"%s"]]}' % c)
+      for c in ("1e10000000", "-1e-10000000", "1e4301")],
 ])
 def test_malformed_document_exit_1(capsys, argv):
+    t0 = time.perf_counter()
     code, doc = run_json(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
+
+
+def test_decimal_exponent_at_the_digit_limit_reads(capsys):
+    for c in ("1e4300", "1e-4300", "2.5E+3"):
+        code, doc = run_json(capsys, "cyc", "iszero", "--a", '{"order":1,"terms":[[0,"%s"]]}' % c)
+        assert code == 0 and doc == {"is_zero": False}
 
 
 @pytest.mark.parametrize("terms", ['[[0,"1"],[0,"-1"]]', '[[0,"1"],[2,"-1"]]'],

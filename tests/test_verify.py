@@ -1,8 +1,11 @@
+import inspect
+import json
 import random
 
 import pytest
 
-from bdalg import DivisorChain, PhiFn, VerifyReport, run_suite, verify
+from bdalg import DivisorChain, PhiFn, VerifyReport, homalg, run_suite, verify
+from bdalg.cli import main
 from bdalg.verify import SUITES, rand_phi
 
 
@@ -59,7 +62,7 @@ def test_cases_run_pinned_at_seed_7_small():
     assert [r.suite for r in reports] == [
         "covariance", "mnorm", "cocycle", "covariant-roundtrip", "charpick",
         "consistency", "kernel-image", "rho-onto", "k0", "ext"]
-    assert [r.cases_run for r in reports] == [50, 10, 50, 20, 20, 31975, 100, 47, 87, 79]
+    assert [r.cases_run for r in reports] == [50, 10, 50, 20, 20, 31975, 100, 47, 87, 89]
     assert all(r.passed and r.seed == 7 and r.scale == "small" for r in reports)
 
 
@@ -121,3 +124,16 @@ def test_exception_in_a_check_leaves_the_other_suites_running(monkeypatch):
     reports = run_suite("all", 7, "small")
     assert [r.suite for r in reports] == list(SUITES)
     assert [r.suite for r in reports if not r.passed] == ["k0"]
+
+
+def test_ext_suite_catches_a_diagonal_that_drops_the_block_gcd(monkeypatch, capsys):
+    # the mutant leaves c, the gcd of the trailing 3 x 3 block, out of d_(n-2);
+    # only a cokernel with three invariant factors prime to the pivot shows it
+    source = inspect.getsource(homalg._determinant_diagonal)
+    assert source.count("[c, free // c]") == 1
+    scope = dict(vars(homalg))
+    exec(source.replace("[c, free // c]", "[1, free // c]"), scope)
+    monkeypatch.setattr(homalg, "_determinant_diagonal", scope["_determinant_diagonal"])
+    assert main(["verify", "ext", "--scale", "small"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["passed"] and doc["cases_passed"] < doc["cases_run"] == 89
