@@ -166,6 +166,6 @@ def character(l: int, k: int) -> LocConstFn:
 
 def synthesize(coefficients: dict, l: int) -> LocConstFn:
     """Rebuild sum_k c_k * character(l, k) from character coefficients."""
-    terms = [(1, _int(k, "character index"), _as_cyclo(c)) for k, c in coefficients.items()]
-    return LocConstFn([_sum(((w, j * k, c) for w, k, c in terms), l)
+    terms = [(_int(k, "character index"), _as_cyclo(c)) for k, c in coefficients.items()]
+    return LocConstFn([_sum(((1, j * k, c) for k, c in terms), l)
                        for j in range(_int(l, "period"))])

@@ -328,18 +328,12 @@ def test_kernels_are_byte_identical_to_the_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_KERNELS
 
 
-def _huge(cached: bool):
-    """zeta_2000 and zeta_999, whose orders have lcm 1998000 > _MAX_ORDER, with
-    their canonical forms computed or not."""
+@pytest.mark.parametrize("cached", [False, True])
+def test_kernels_refuse_an_lcm_above_the_order_limit(cached):
+    # the lcm of the orders of zeta_2000 and zeta_999 is 1998000 > _MAX_ORDER
     a, b = root_of_unity(1, 2000), root_of_unity(1, 999)
     if cached:
         a.to_json(), b.to_json()
-    return a, b
-
-
-@pytest.mark.parametrize("cached", [False, True])
-def test_kernels_refuse_an_lcm_above_the_order_limit(cached):
-    a, b = _huge(cached)
     f = LocConstFn([a, b])
     for kernel in (LocConstFn.haar_integral, LocConstFn.char_coefficients,
                    solve_cocycle, decompose_invariant, lambda f: synthesize(
