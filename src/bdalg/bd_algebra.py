@@ -21,6 +21,16 @@ the other labels allow; delta(a) is never built.  Every block's norm is the
 square root of the largest eigenvalue of its Gram matrix (_top_singular), in
 closed form for 3 x 3 blocks and from LAPACK's eigvalsh otherwise.
 
+A sampling with exactly two labels n0 < n1 (every level of a two-term
+element, and the levels j >= 1 of a three-term one with label 0) needs only
+two grid points per block.  Each block is, up to diagonal unitaries, one
+weighted s-cycle whose singular values depend on z only through one cycle
+phase psi_c, and its top singular value is largest where cos psi_c is: at
+psi = 0 by Wielandt's rho(A) <= rho(|A|), and falling in |psi| on [0, pi] by
+the Floquet theory of periodic Jacobi matrices (see _phase_points).  So the
+grid maximum is taken over the two grid points per block whose phase is
+nearest 0, which give the same value as all of them.
+
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window, into which they are clamped; only the diagonal case is exact.
 Internally the estimates are carried as exact rationals so the two assembly
@@ -316,7 +326,7 @@ def _complex_values(a: BDElement) -> dict:
 
 
 def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
-                   values: dict | None = None):
+                   values: dict | None = None, points=None):
     """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, first <= j <
     levels, at the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
 
@@ -333,6 +343,13 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     label n by n^j.  `values` are a's values from _complex_values, converted
     here when not given.  Yields (j, block) with one reused buffer, so each
     block must be used before the next step.
+
+    `points`, an array of grid indices k, restricts the sampling to those
+    points, and the p-th of them to block p mod g: each step then yields a
+    (points, s, s) stack, one matrix per index.  _base_norms passes the
+    points of _phase_points for a sampling with exactly two labels, whose
+    blocks reach their maximum over the grid where their cycle phase is
+    nearest 0.
     """
     np = _numpy()
     l = a.period
@@ -345,10 +362,12 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     values = [(n, values[n]) for n in sorted(coeffs)]
     cb, cc = cols % g, cols // g
     rows = {n % l: (cols + n) % l // g for n in coeffs}
+    count = grid if points is None else len(points)
     step = max(1, _BLOCK_BYTES // (16 * l * s))
-    buf = np.zeros((min(step, grid), g, s, s), dtype=complex)
-    for k0 in range(0, grid, step):
-        z = np.exp(2j * np.pi * np.arange(k0, min(k0 + step, grid)) / grid)
+    buf = np.zeros((min(step, count), g, s, s), dtype=complex)
+    for k0 in range(0, count, step):
+        k = np.arange(k0, min(k0 + step, count))
+        z = np.exp(2j * np.pi * (k if points is None else points[k]) / grid)
         classes: dict = {}
         for n, vals in values:
             classes.setdefault(n % l, []).append((n, vals * z[:, None] ** ((cols + n) // l)))
@@ -356,7 +375,7 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
         for j in range(first, levels):
             for r, parts in classes.items():
                 block[:, cb, rows[r], cc] = sum(n ** j * smp for n, smp in parts)
-            yield j, block
+            yield j, block if points is None else block[k - k0, k % g]
 
 
 # A 3 x 3 Gram matrix whose r = det(G - qI) / (2 p^3) is below this has a
@@ -425,6 +444,60 @@ def _top_singular(blocks, gram):
     return np.sqrt(np.maximum(lam, 0.0)).reshape(blocks.shape[:-2])
 
 
+def _phase_points(l: int, labels, values: dict, j: int, grid: int):
+    """The grid indices at which level j of a sampling with exactly two labels
+    n0 < n1 reaches its maximum: two per block, the p-th for block p mod g, as
+    _symbol_blocks takes them.
+
+    With g = gcd(l, n1 - n0) and s = l/g, block c is P (D_0 + Q D_1) for a
+    permutation P, the diagonals D_n of the weighted samples n^j f_n(i)
+    z^floor((i+n)/l) at the columns i = c (mod g), and Q one s-cycle, since
+    (n1 - n0)/g is prime to s.  Diagonal unitaries on either side keep the
+    singular values, and they take every phase of the block's 2s entries into
+    one cycle phase psi_c = alpha_c + e_c theta at z = exp(i theta), with
+    alpha_c = arg prod (n1^j f_n1(i)) conj(n0^j f_n0(i)) and
+    e_c = sum (floor((i+n1)/l) - floor((i+n0)/l)) over those i.  So B^H B is
+    a periodic Jacobi matrix with flux psi_c, and its largest eigenvalue is a
+    non-increasing function of |psi_c| on [0, pi]: at psi = 0 it is largest,
+    as rho(A) <= rho(|A|) (Wielandt), and above the top band the Floquet
+    discriminant is monotone, so the top eigenvalue falls as cos psi does.
+    The grid point nearest psi_c = 0 (mod 2 pi) thus holds the block's
+    maximum over the grid; where a value is 0 the cycle is broken and every
+    point gives the same value.
+
+    With d_c = gcd(e_c, grid) and m_c = grid / d_c, the phases e_c k / grid
+    (mod 1) are the multiples t / m_c, reached at k = t (e_c / d_c)^-1
+    (mod m_c).  The nearest is one of the two t next to -alpha_c m_c / (2 pi),
+    and keeping both also covers a tie and a rounding of alpha_c.  The sign of n^j
+    adds j pi per negative label and column, which is carried exactly, in
+    half turns.
+    """
+    np = _numpy()
+    n0, n1 = labels
+    g = math.gcd(l, n1 - n0)
+    cols = np.arange(l)
+    arg = np.angle(values[n1]) - np.angle(values[n0])
+    turns = arg.reshape(-1, g).sum(axis=0) / (2 * np.pi)
+    turns += (l // g) * j * ((n1 < 0) - (n0 < 0)) / 2
+    e = ((cols + n1) // l - (cols + n0) // l).reshape(-1, g).sum(axis=0)
+    d = np.gcd(e, grid)
+    m = grid // d
+    inv = np.array([pow(int(x), -1, int(y)) for x, y in zip(e // d, m)])
+    t = np.floor(-turns * m).astype(np.int64) + np.arange(2)[:, None]
+    return (t % m * inv % m).ravel()
+
+
+def _raise_top(top: list, blocks):
+    """Raise top[j] to the largest top singular value of each (j, block) that
+    `blocks` yields (see _top_singular)."""
+    np = _numpy()
+    gram = None
+    for j, block in blocks:
+        if gram is None:
+            gram = np.empty_like(block)
+        top[j] = max(top[j], float(_top_singular(block, gram).max()))
+
+
 def _base_norms(a: BDElement, m: int, grid: int) -> list:
     """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
 
@@ -440,24 +513,28 @@ def _base_norms(a: BDElement, m: int, grid: int) -> list:
     gcd(l, 4) blocks.  No delta^j(a) is built; within each sampling the levels
     only reweight the same sampled coefficients, and both samplings share one
     conversion of a's values to complex numbers.
+
+    A sampling with exactly two labels (every level of a two-term element,
+    and the levels j >= 1 of a three-term one with label 0) has its maximum
+    over the grid, block by block, at the grid point whose cycle phase is
+    nearest 0 (see _phase_points), so each of its levels samples and
+    decomposes only two points per block: at most 2g matrices, not eff * g.
     """
     if all(n == 0 for n in a.coeffs):
         top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
         return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
     eff = max(grid, 2 * _max_power(a) + 1)
     _check_samples(m + 1, eff, a.period)
-    np = _numpy()
     top = [0.0] * (m + 1)
     values = _complex_values(a)
-    sampled = [_symbol_blocks(a, eff, 1, values=values)]
-    if m:
-        sampled.append(_symbol_blocks(a, eff, m + 1, first=1, values=values))
-    for blocks in sampled:
-        gram = None
-        for j, block in blocks:
-            if gram is None:
-                gram = np.empty_like(block)
-            top[j] = max(top[j], float(_top_singular(block, gram).max()))
+    for first, levels in [(0, 1), (1, m + 1)] if m else [(0, 1)]:
+        labels = sorted(n for n in a.coeffs if n or not first)
+        if len(labels) != 2:
+            _raise_top(top, _symbol_blocks(a, eff, levels, first, values))
+            continue
+        for j in range(first, levels):
+            points = _phase_points(a.period, labels, values, j, eff)
+            _raise_top(top, _symbol_blocks(a, eff, j + 1, j, values, points))
     return [(Fraction(t), "grid-estimate", eff) for t in top]
 
 
@@ -473,7 +550,12 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     blocks of size l/g that its own labels allow (see _symbol_blocks), and its
     norm is the largest of the blocks' top singular values, each the square
     root of the largest eigenvalue of the block's Gram matrix: in closed form
-    for 3 x 3 blocks, from eigvalsh otherwise (see _top_singular).
+    for 3 x 3 blocks, from eigvalsh otherwise (see _top_singular).  A
+    sampling with exactly two labels is decomposed only at the two grid points
+    per block whose cycle phase is nearest 0, where the block's top singular
+    value is largest (Wielandt, and the Floquet theory of periodic Jacobi
+    matrices; see _phase_points); the value is still the grid maximum over
+    eff points, so kind, grid and window keep their meaning.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the

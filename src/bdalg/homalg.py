@@ -35,14 +35,26 @@ import math
 from .supernatural import _Frozen, _int, factorize
 
 
+# The largest number of rows or columns a matrix may have.  A side is checked
+# before anything is built: a 0 x r matrix has no entries, but its Smith form
+# carries the r x r identity U.
+_MAX_SIDE = 1000
+
+
+def _side(n) -> int:
+    if not 0 <= _int(n, "matrix dimensions") <= _MAX_SIDE:
+        raise ValueError(f"matrix dimensions must be integers from 0 to {_MAX_SIDE}")
+    return n
+
+
 class IntMatrix(_Frozen):
     """A dense integer matrix; entries is a row-major tuple of tuples."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        if _int(rows, "matrix dimensions") < 0 or _int(cols, "matrix dimensions") < 0:
-            raise ValueError("matrix dimensions must be nonnegative integers")
+        _side(rows)
+        _side(cols)
         if not isinstance(entries, (tuple, list)) or not all(
                 isinstance(r, (tuple, list)) for r in entries):
             raise ValueError("entries must be a sequence of rows")
@@ -61,7 +73,7 @@ class IntMatrix(_Frozen):
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return cls(_side(rows), _side(cols), tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -94,6 +106,8 @@ class IntMatrix(_Frozen):
         flat = obj["entries"]
         if not isinstance(flat, list) or r * c != len(flat):
             raise ValueError("entries must be a row-major list of length rows*cols")
+        _side(r)
+        _side(c)
         return cls(r, c, [flat[i * c:(i + 1) * c] for i in range(r)])
 
 

@@ -245,21 +245,83 @@ def _record_linalg_shapes(monkeypatch) -> list:
 
 def test_linalg_sees_stacks_of_blocks(monkeypatch):
     # eigvalsh (of the Gram matrices) and eigvals get (matrices, s, s) stacks
-    # of the l/g-sized blocks
+    # of the l/g-sized blocks; labels (1, 5) at l = 8 are g = 4 blocks of size
+    # 2, and a two-label norm samples two grid points per block, not all 16
     shapes = _record_linalg_shapes(monkeypatch)
     a = BDElement(S, {1: character(8, 1), 5: LocConstFn([2, 0, -1, 3, 1, 1, 2, 4])})
     operator_norm(a, grid=16)
     spectrum_sample(a, grid=16)
-    assert shapes == [("eigvalsh", (16 * 4, 2, 2)), ("eigvals", (16, 2, 2))]
+    assert shapes == [("eigvalsh", (2 * 4, 2, 2)), ("eigvals", (16, 2, 2))]
 
 
 def test_each_level_is_sampled_as_its_own_blocks(monkeypatch):
-    # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, but the
-    # later levels have no label 0, so g = gcd(24, 4) = 4 blocks of size 6
+    # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, sampled at
+    # all 16 points, but the later levels have only the labels (-3, 1), so
+    # g = gcd(24, 4) = 4 blocks of size 6, each at its two selected points
     shapes = _record_linalg_shapes(monkeypatch)
     a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 24, 24))] + [("eigvalsh", (16 * 4, 6, 6))] * 2
+    assert shapes == [("eigvalsh", (16, 24, 24))] + [("eigvalsh", (2 * 4, 6, 6))] * 2
+
+
+def _two_label_corpus() -> list:
+    """Seeded elements whose norm levels are sampled with exactly two labels:
+    two labels in -7..7, and a third label 0 on some (their levels j >= 1),
+    values that are roots of unity scaled by a Fraction, or 0."""
+    rng = random.Random(67)
+
+    def value():
+        if rng.random() < 0.1:
+            return 0
+        return root_of_unity(rng.randrange(12), 12) * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+    out = []
+    while len(out) < 48:
+        l = rng.choice((1, 2, 3, 4, 6, 8, 12))
+        labels = rng.sample([n for n in range(-7, 8) if n], 2)
+        if rng.random() < 0.25:
+            labels.append(0)
+        a = BDElement(S, {n: LocConstFn([value() for _ in range(l)]) for n in labels})
+        if sum(1 for n in a.coeffs if n) == 2:
+            out.append(a)
+    return out
+
+
+TWO_LABEL_CORPUS = _two_label_corpus()
+
+
+def test_two_label_corpus_covers_the_cases():
+    seen = set()
+    for a in TWO_LABEL_CORPUS:
+        n0, n1 = sorted(n for n in a.coeffs if n)
+        s = a.period // math.gcd(a.period, n1 - n0)
+        seen |= {"s = 2" if s == 2 else "s >= 3" if s >= 3 else "s = 1"}
+        seen |= {"n0 n1 < 0"} if n0 * n1 < 0 else set()
+        seen |= {"|n| >= l"} if max(-n0, n1) >= a.period else set()
+        seen |= {"label 0"} if 0 in a.coeffs else set()
+        seen |= {"a zero value"} if any(v.is_zero() for f in a.coeffs.values()
+                                        for v in f.values) else set()
+    assert seen == {"s = 1", "s = 2", "s >= 3", "n0 n1 < 0", "|n| >= l", "label 0",
+                    "a zero value"}
+
+
+@pytest.mark.parametrize("grid", [16, 17, 256, 1000])
+def test_two_label_levels_reach_the_full_grid_maximum(grid):
+    # a two-label level is sampled only at the two points per block that its
+    # cycle phases select; its value is the maximum over every grid point
+    checked = 0
+    for a in TWO_LABEL_CORPUS:
+        parts = bd_algebra._base_norms(a, 6, grid)
+        for j, (value, kind, eff) in enumerate(parts):
+            if sum(1 for n in a.coeffs if n or not j) != 2:
+                continue
+            full = 0.0
+            for _, block in bd_algebra._symbol_blocks(a, eff, j + 1, j):
+                full = max(full, float(bd_algebra._top_singular(block, np.empty_like(block)).max()))
+            assert (kind, eff) == ("grid-estimate", max(grid, 2 * bd_algebra._max_power(a) + 1))
+            assert abs(float(value) - full) <= 1e-14 * full
+            checked += 1
+    assert checked > 200
 
 
 def test_three_by_three_levels_skip_eigvalsh(monkeypatch):

@@ -372,6 +372,10 @@ def test_invalid_input_exit_1(capsys):
     # a decimal exponent beyond the int-string digit limit, refused before 10^e is built
     *[("cyc", "iszero", "--a", '{"order":1,"terms":[[0,"%s"]]}' % c)
       for c in ("1e10000000", "-1e-10000000", "1e4301")],
+    # a side above the size cap, refused before any row is built
+    *[("hom", verb, "--matrix", m) for verb in ("snf", "ext")
+      for m in ('{"rows":1000000000,"cols":0,"entries":[]}',
+                '{"rows":0,"cols":1000000000,"entries":[]}')],
 ])
 def test_malformed_document_exit_1(capsys, argv):
     t0 = time.perf_counter()

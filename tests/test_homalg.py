@@ -294,6 +294,19 @@ def test_snf_of_empty_shapes(rows, cols):
     assert U * A * V == D
 
 
+def test_sides_above_the_cap_are_refused_before_any_row_is_built():
+    side = homalg._MAX_SIDE
+    assert IntMatrix.from_json({"rows": side, "cols": 0, "entries": []}).rows == side
+    assert IntMatrix.zeros(0, side).cols == side
+    for rows, cols in ((side + 1, 0), (0, side + 1), (10 ** 9, 0), (0, 10 ** 18)):
+        with pytest.raises(ValueError, match="from 0 to"):
+            IntMatrix.from_json({"rows": rows, "cols": cols, "entries": []})
+        with pytest.raises(ValueError, match="from 0 to"):
+            IntMatrix.zeros(rows, cols)
+        with pytest.raises(ValueError, match="from 0 to"):
+            IntMatrix(rows, cols, [])
+
+
 def test_determinant():
     assert IntMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8
     assert IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)]).determinant() == 1
