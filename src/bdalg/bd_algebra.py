@@ -18,8 +18,8 @@ exact symbol is plain data, l rows of l {power: Cyclo} dicts, and serves only
 The derivation levels j >= 1 of a norm carry no label 0, so they are sampled
 from a's own coefficients weighted by n^j, without label 0 and as the blocks
 the other labels allow; delta(a) is never built.  Every block's norm is the
-square root of the largest eigenvalue of its Gram matrix (_top_singular), in
-closed form for 3 x 3 blocks and from LAPACK's eigvalsh otherwise.
+square root of the largest eigenvalue of its Gram matrix, from LAPACK's
+eigvalsh (_top_singular).
 
 A sampling with exactly two labels n0 < n1 (every level of a two-term
 element, and the levels j >= 1 of a three-term one with label 0) needs only
@@ -378,58 +378,17 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
             yield j, block if points is None else block[k - k0, k % g]
 
 
-# A 3 x 3 Gram matrix whose r = det(G - qI) / (2 p^3) is below this has a
-# nearly double top eigenvalue, where the closed form loses about half its
-# digits; those matrices go to eigvalsh.
-_NEAR_DOUBLE = -1 + 1e-4
-
-
-def _top_eigenvalue3(gram):
-    """The largest eigenvalue of each Hermitian 3 x 3 matrix of the stack
-    `gram` (shape (matrices, 3, 3)), by the trigonometric closed form
-    (O. K. Smith, Comm. ACM 4(4), 1961).
-
-    With q = tr(G)/3, p = |G - qI|_F / sqrt(6) and r = det(G - qI) / (2 p^3)
-    clipped to [-1, 1], the eigenvalues are q + 2p cos((arccos(r) + 2 pi k)/3)
-    and the largest is k = 0.  Each matrix is first scaled, exactly, by a
-    power of two near 1 / trace, so no power overflows; a matrix with p = 0
-    is qI.  Near r = -1 the top two eigenvalues meet and the cosine's slope in
-    r is unbounded, so the matrices with r < _NEAR_DOUBLE are sent to one
-    eigvalsh call instead, as in J. Kopp's hybrid (Int. J. Mod. Phys. C 19,
-    2008).
-    """
-    np = _numpy()
-    x = gram.reshape(-1, 9)
-    trace = x[:, 0].real + x[:, 4].real + x[:, 8].real
-    scale = np.ldexp(1.0, np.minimum(-np.frexp(trace)[1], 1000))
-    q = trace * scale / 3
-    a, b, c = (x[:, k].real * scale - q for k in (0, 4, 8))
-    d, e, f = (x[:, k] * scale for k in (1, 2, 5))
-    dd, ee, ff = [w.real ** 2 + w.imag ** 2 for w in (d, e, f)]
-    p = np.sqrt((a * a + b * b + c * c + 2 * (dd + ee + ff)) / 6)
-    det = a * b * c + 2 * (d * f * e.conj()).real - a * ff - b * ee - c * dd
-    den = 2 * p ** 3
-    r = np.clip(np.divide(det, den, out=np.zeros_like(det), where=den > 0), -1, 1)
-    lam = (q + 2 * p * np.cos(np.arccos(r) / 3)) / scale
-    near = np.flatnonzero(r < _NEAR_DOUBLE)
-    if near.size:
-        lam[near] = np.linalg.eigvalsh(gram.reshape(-1, 3, 3)[near])[:, -1]
-    return lam
-
-
 def _top_singular(blocks, gram):
     """The largest singular value of each s x s matrix B of the stack `blocks`
     (shape (..., s, s)), as sqrt(lambda_max(B^H B)).
 
     The Gram matrices B^H B are formed in `gram`, a buffer shaped like the
-    largest stack of a sampling and reused for each of its steps, and only
-    their top eigenvalue is computed: for s = 3 by the closed form of
-    _top_eigenvalue3, which hands only the nearly double ones to eigvalsh,
-    and for every other s by eigvalsh on the whole stack.  The largest is off
-    by at most about c * s * eps * |B|^2, so its square root is as accurate,
-    relative to |B|, as the top value of a singular value decomposition.
-    Rounding can leave it slightly below 0, so it is clipped at 0.  1 x 1
-    blocks are their own modulus.
+    largest stack of a sampling and reused for each of its steps, and their
+    eigenvalues come from one eigvalsh call on the whole stack.  The largest
+    is off by at most about c * s * eps * |B|^2, so its square root is as
+    accurate, relative to |B|, as the top value of a singular value
+    decomposition.  Rounding can leave it slightly below 0, so it is clipped
+    at 0.  1 x 1 blocks are their own modulus.
     """
     np = _numpy()
     s = blocks.shape[-1]
@@ -437,10 +396,7 @@ def _top_singular(blocks, gram):
         return np.abs(blocks[..., 0, 0])
     gram = gram[:len(blocks)]
     np.matmul(blocks.conj().swapaxes(-1, -2), blocks, out=gram)
-    if s == 3:
-        lam = _top_eigenvalue3(gram)
-    else:  # LAPACK sees a plain stack of s x s matrices
-        lam = np.linalg.eigvalsh(gram.reshape(-1, s, s))[:, -1]
+    lam = np.linalg.eigvalsh(gram.reshape(-1, s, s))[:, -1]
     return np.sqrt(np.maximum(lam, 0.0)).reshape(blocks.shape[:-2])
 
 
@@ -549,13 +505,13 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     coefficients are shared by its levels.  Each symbol is sampled as the g
     blocks of size l/g that its own labels allow (see _symbol_blocks), and its
     norm is the largest of the blocks' top singular values, each the square
-    root of the largest eigenvalue of the block's Gram matrix: in closed form
-    for 3 x 3 blocks, from eigvalsh otherwise (see _top_singular).  A
-    sampling with exactly two labels is decomposed only at the two grid points
-    per block whose cycle phase is nearest 0, where the block's top singular
-    value is largest (Wielandt, and the Floquet theory of periodic Jacobi
-    matrices; see _phase_points); the value is still the grid maximum over
-    eff points, so kind, grid and window keep their meaning.
+    root of the largest eigenvalue of the block's Gram matrix, from eigvalsh
+    (see _top_singular).  A sampling with exactly two labels is decomposed
+    only at the two grid points per block whose cycle phase is nearest 0,
+    where the block's top singular value is largest (Wielandt, and the Floquet
+    theory of periodic Jacobi matrices; see _phase_points); the value is still
+    the grid maximum over eff points, so kind, grid and window keep their
+    meaning.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the

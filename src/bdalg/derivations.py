@@ -88,32 +88,38 @@ class DerivationData(_Frozen):
                     for n, f in obj["covariant"].items()})
 
 
+def _cocycle(f: LocConstFn, c: Cyclo) -> LocConstFn:
+    """G mean zero with G o beta - G = f - c, c the mean of f, without forming
+    f - c: G(0) = (sum_{i<l-1} (i+1-l) f(i) + c l(l-1)/2) / l and G(j+1) =
+    G(j) + f(j) - c, each one _sum at the common order; JSON is canonical."""
+    l, vals = f.period, f.values[:-1]
+    g = [_sum([(i + 1 - l, 0, v) for i, v in enumerate(vals)] + [(l * (l - 1) // 2, 0, c)])
+         * Fraction(1, l)]
+    for v in vals:
+        g.append(_sum(((1, 0, g[-1]), (1, 0, v), (-1, 0, c))))
+    return LocConstFn(g)
+
+
 def solve_cocycle(ft: LocConstFn) -> LocConstFn:
     """Solve G o beta - G = ft with G mean zero; ft must have mean zero.
 
-    G(j) = ft(0) + ... + ft(j-1), minus its mean sum_i (l-1-i) ft(i) / l.  A
-    nonzero mean of ft is the obstruction (G would not be periodic), which must
-    be split off first.  G(0) and each step G(j+1) = G(j) + ft(j) is one _sum,
-    in a single dict at the common order; the JSON form is canonical.
+    G(j) = ft(0) + ... + ft(j-1), minus its mean sum_i (l-1-i) ft(i) / l (see
+    _cocycle).  A nonzero mean of ft is the obstruction (G would not be
+    periodic), which must be split off first.
     """
     if not ft.haar_integral().is_zero():
         raise ValueError("nonzero mean: split off the constant part first")
-    l, vals = ft.period, ft.values[:-1]
-    g = [_sum((i + 1 - l, 0, v) for i, v in enumerate(vals)) * Fraction(1, l)]
-    for v in vals:
-        g.append(_sum(((1, 0, g[-1]), (1, 0, v))))
-    return LocConstFn(g)
+    return _cocycle(ft, Cyclo.zero())
 
 
 def decompose_invariant(f: LocConstFn):
     """Split F = C + (G o beta - G): returns (C, G) with C the Haar mean.
 
     The invariant derivation sending U to U M_F then equals
-    C * delta_label + [M_G, .] on generators.
+    C * delta_label + [M_G, .] on generators; G comes from f and C (_cocycle).
     """
     c = f.haar_integral()
-    g = solve_cocycle(f - LocConstFn.constant(c, f.period))
-    return c, g
+    return c, _cocycle(f, c)
 
 
 def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocConstFn:

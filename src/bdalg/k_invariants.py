@@ -241,9 +241,7 @@ class PhiFn(_Frozen):
         return PhiFn(self.chain, [a + b for a, b in zip(self.top, other.top)])
 
     def __sub__(self, other: "PhiFn") -> "PhiFn":
-        if self.chain.levels != other.chain.levels:
-            raise ValueError("operands live on different chains")
-        return PhiFn(self.chain, [a - b for a, b in zip(self.top, other.top)])
+        return self + (-other)
 
     def __neg__(self) -> "PhiFn":
         return PhiFn(self.chain, [-a for a in self.top])

@@ -324,18 +324,18 @@ def test_two_label_levels_reach_the_full_grid_maximum(grid):
     assert checked > 200
 
 
-def test_three_by_three_levels_skip_eigvalsh(monkeypatch):
+def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatch):
     # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
     # levels four 3 x 3 blocks, sampled from a's own coefficients without
-    # label 0 (delta(a) is not built); their top eigenvalues come in closed
-    # form, and none of these is nearly double, so only level 0 reaches eigvalsh
+    # label 0 (delta(a) is not built); those two labels are sampled at two
+    # points per block, and every level goes to eigvalsh as one stack
     a = BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)})
     levels = [(j, b.shape) for j, b in bd_algebra._symbol_blocks(a, 16, 3, first=1)]
     assert levels == [(1, (16, 4, 3, 3)), (2, (16, 4, 3, 3))]
     shapes = _record_linalg_shapes(monkeypatch)
     monkeypatch.setattr(BDElement, "delta_label", None)
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 12, 12))]
+    assert shapes == [("eigvalsh", (16, 12, 12))] + [("eigvalsh", (2 * 4, 3, 3))] * 2
 
 
 def test_each_value_is_converted_once_per_norm(monkeypatch):
@@ -382,9 +382,7 @@ def test_top_singular_matches_svd(s, monkeypatch):
     zero = np.zeros((5, s, s), dtype=complex)
     stacks = [generic, rank1, near]
     if s == 3:
-        # the closed form for 3 x 3 Gram matrices loses digits where the top
-        # eigenvalue is (nearly) double, so exactly those 10 go to eigvalsh;
-        # a double bottom pair keeps the closed form
+        # Gram matrices with a (nearly) double top or bottom eigenvalue
         stacks += [_double_pairs(rng, 4.0, mu) for mu in (0.0, 1.0, 9.0, 25.0)]
     x = np.concatenate(stacks + [zero])
     x *= 3.0 ** rng.integers(0, 7, size=len(x))[:, None, None]
@@ -392,7 +390,7 @@ def test_top_singular_matches_svd(s, monkeypatch):
     shapes = _record_linalg_shapes(monkeypatch)
     got = bd_algebra._top_singular(blocks, np.empty_like(blocks)).reshape(-1)
     want = np.linalg.svd(x, compute_uv=False).max(axis=-1)
-    assert shapes == [("eigvalsh", (10, 3, 3) if s == 3 else (len(x), s, s))]
+    assert shapes == [("eigvalsh", (len(x), s, s))]
     assert np.isfinite(got).all()
     assert (got[-5:] == 0).all()
     assert (np.abs(got - want) <= 1e-13 * want).all()
@@ -502,7 +500,6 @@ NUMERIC_CASES = [
     BDElement(S, {2: LocConstFn([1, 2, 3, 4, 5, 6, 7, 8]), 6: character(8, 5)}),
     # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
     # levels four 3 x 3 blocks, sampled from the coefficients without label 0
-    # and normed by the closed form
     BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)}),
     # one label at l = 6: three cycles of two 1 x 1 blocks (g = 6, n0 = 3)
     BDElement(S, {3: LocConstFn([1, -2, root_of_unity(1, 3), 4, Fraction(1, 3), -1])}),

@@ -133,6 +133,24 @@ def test_decompose_matches_derivation_on_shift():
         assert d.apply(U) == U * BDElement.mult_op(S, f)
 
 
+def test_decompose_forms_no_difference_function(monkeypatch):
+    # G comes from f and C directly; neither f - C nor the constant function C
+    # is built, and the result is the JSON of the route through f - C
+    rng = random.Random(17)
+    fs = [rand_fn(rng, l) for l in (1, 2, 3, 6, 12, 24)] + [character(4, 1)]
+    want = [json.dumps([f.haar_integral().to_json(), solve_cocycle(
+        f - LocConstFn.constant(f.haar_integral(), f.period)).to_json()]) for f in fs]
+
+    def refuse(*args):
+        raise AssertionError("decompose_invariant formed f - C")
+
+    monkeypatch.setattr(LocConstFn, "__sub__", refuse)
+    monkeypatch.setattr(LocConstFn, "constant", refuse)
+    for f, doc in zip(fs, want):
+        c, g = decompose_invariant(f)
+        assert json.dumps([c.to_json(), g.to_json()]) == doc
+
+
 def test_recover_covariant_roundtrip_example():
     chi4 = character(4, 1)
     d = DerivationData(0, LocConstFn.zero(), {2: chi4})

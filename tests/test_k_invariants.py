@@ -141,6 +141,16 @@ def test_tau_rho():
     assert z.tau() == 0 and z.rho().value() == 0
 
 
+def test_sum_and_difference_need_one_chain():
+    psi = PhiFn(CH24, [0, -1, 0, -2])
+    assert (PHI - psi).top == (1, 1, 2, 2)
+    assert (PHI + psi).top == (1, -1, 2, -2)
+    other = PhiFn(DivisorChain.of([2, 6]), [0] * 6)
+    for op in (PhiFn.__add__, PhiFn.__sub__):
+        with pytest.raises(ValueError, match="operands live on different chains"):
+            op(PHI, other)
+
+
 def test_coboundary():
     psi = PhiFn(CH24, [0, -1, 0, -2])
     assert psi.coboundary().top == (1, -1, 2, -2)
