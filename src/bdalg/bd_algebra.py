@@ -15,21 +15,24 @@ sampled symbol is assembled from the complex values f_n(i) without forming
 the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
 exact symbol is plain data, l rows of l {power: Cyclo} dicts, and serves only
 ``bd symbol``.
-The derivation levels j >= 1 of a norm carry no label 0, so they are sampled
-from a's own coefficients weighted by n^j, without label 0 and as the blocks
-the other labels allow; delta(a) is never built.  Every block's norm is the
-square root of the largest eigenvalue of its Gram matrix, from LAPACK's
-eigvalsh (_top_singular).
+The derivation levels of a norm are sampled from a's own coefficients, level
+j weighting label n by n^j; delta(a) is never built.  Each label set is
+sampled once for all its levels: the levels j >= 1 carry no label 0, so they
+share one sampling without it, as the blocks the other labels allow, and
+without label 0 level 0 joins them.  Every block's norm is the square root of
+the largest eigenvalue of its Gram matrix, from LAPACK's eigvalsh
+(_top_singular).
 
-A sampling with exactly two labels n0 < n1 (every level of a two-term
-element, and the levels j >= 1 of a three-term one with label 0) needs only
-two grid points per block.  Each block is, up to diagonal unitaries, one
-weighted s-cycle whose singular values depend on z only through one cycle
-phase psi_c, and its top singular value is largest where cos psi_c is: at
-psi = 0 by Wielandt's rho(A) <= rho(|A|), and falling in |psi| on [0, pi] by
-the Floquet theory of periodic Jacobi matrices (see _phase_points).  So the
-grid maximum is taken over the two grid points per block whose phase is
-nearest 0, which give the same value as all of them.
+A sampling with one label n has 1 x 1 blocks of modulus |n^j f_n(i)| at every
+grid point, so it is read at one point, z = 1.  One with exactly two labels
+n0 < n1 needs two grid points per block and level.  Each block is, up to
+diagonal unitaries, one weighted s-cycle whose singular values depend on z
+only through one cycle phase psi_c, and its top singular value is largest
+where cos psi_c is: at psi = 0 by Wielandt's rho(A) <= rho(|A|), and falling
+in |psi| on [0, pi] by the Floquet theory of periodic Jacobi matrices (see
+_phase_points).  So the grid maximum is taken over the two grid points per
+block whose phase is nearest 0, which give the same value as all of them.
+All levels of such a sampling go through one pass and one eigvalsh call.
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window, into which they are clamped; only the diagonal case is exact.
@@ -319,10 +322,9 @@ def _cosets(l: int, labels) -> tuple:
 
 
 def _complex_values(a: BDElement) -> dict:
-    """The values of each coefficient of a as a complex array, by label."""
-    np = _numpy()
-    return {n: np.array([v.to_complex() for v in f.values], dtype=complex)
-            for n, f in a.coeffs.items()}
+    """The values of each coefficient of a as a list of complex numbers, by
+    label: the one conversion that a norm's samplings and its window share."""
+    return {n: [v.to_complex() for v in f.values] for n, f in a.coeffs.items()}
 
 
 def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
@@ -344,12 +346,16 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     here when not given.  Yields (j, block) with one reused buffer, so each
     block must be used before the next step.
 
-    `points`, an array of grid indices k, restricts the sampling to those
-    points, and the p-th of them to block p mod g: each step then yields a
-    (points, s, s) stack, one matrix per index.  _base_norms passes the
-    points of _phase_points for a sampling with exactly two labels, whose
-    blocks reach their maximum over the grid where their cycle phase is
-    nearest 0.
+    `points`, a (levels - first, P) array of grid indices with g dividing P,
+    restricts level first + r to the indices of row r, and the p-th of them to
+    block p mod g.
+    The (level, index) pairs, row by row, then take the place of the grid
+    points in the steps, one matrix each, and a step yields (js, stack): the
+    levels of its matrices and a (matrices, s, s) stack.  All levels share
+    one step, so one eigvalsh call, while levels * P * l * s <= _BLOCK_BYTES /
+    16: up to 14 levels at l = 48 with two points per block.  _base_norms
+    passes one point per block for a sampling with one label, and those of
+    _phase_points for one with two.
     """
     np = _numpy()
     l = a.period
@@ -359,10 +365,14 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     cols = np.arange(l)
     if values is None:
         values = _complex_values(a)
-    values = [(n, values[n]) for n in sorted(coeffs)]
+    values = [(n, np.asarray(values[n], dtype=complex)) for n in sorted(coeffs)]
+    weights = {n: np.array([n ** j for j in range(first, levels)], dtype=complex)
+               for n in coeffs}
     cb, cc = cols % g, cols // g
     rows = {n % l: (cols + n) % l // g for n in coeffs}
-    count = grid if points is None else len(points)
+    count = grid if points is None else points.size
+    if points is not None:  # one matrix per (level, index) pair, row by row
+        per, points = points.shape[1], points.ravel()
     step = max(1, _BLOCK_BYTES // (16 * l * s))
     buf = np.zeros((min(step, count), g, s, s), dtype=complex)
     for k0 in range(0, count, step):
@@ -372,9 +382,10 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
         for n, vals in values:
             classes.setdefault(n % l, []).append((n, vals * z[:, None] ** ((cols + n) // l)))
         block = buf[:len(z)]
-        for j in range(first, levels):
+        for j in range(first, levels) if points is None else [first + k // per]:
             for r, parts in classes.items():
-                block[:, cb, rows[r], cc] = sum(n ** j * smp for n, smp in parts)
+                block[:, cb, rows[r], cc] = sum(weights[n][j - first][..., None] * smp
+                                                for n, smp in parts)
             yield j, block if points is None else block[k - k0, k % g]
 
 
@@ -400,10 +411,10 @@ def _top_singular(blocks, gram):
     return np.sqrt(np.maximum(lam, 0.0)).reshape(blocks.shape[:-2])
 
 
-def _phase_points(l: int, labels, values: dict, j: int, grid: int):
-    """The grid indices at which level j of a sampling with exactly two labels
-    n0 < n1 reaches its maximum: two per block, the p-th for block p mod g, as
-    _symbol_blocks takes them.
+def _phase_points(l: int, labels, values: dict, levels: range, grid: int):
+    """The grid indices at which each level j in `levels` of a sampling with
+    exactly two labels n0 < n1 reaches its maximum: a row of two per block for
+    each level, the p-th for block p mod g, as _symbol_blocks takes them.
 
     With g = gcd(l, n1 - n0) and s = l/g, block c is P (D_0 + Q D_1) for a
     permutation P, the diagonals D_n of the weighted samples n^j f_n(i)
@@ -426,72 +437,84 @@ def _phase_points(l: int, labels, values: dict, j: int, grid: int):
     (mod m_c).  The nearest is one of the two t next to -alpha_c m_c / (2 pi),
     and keeping both also covers a tie and a rounding of alpha_c.  The sign of n^j
     adds j pi per negative label and column, which is carried exactly, in
-    half turns.
+    half turns; it is the only way the points depend on j, so the rows of
+    levels of one parity are equal.
     """
     np = _numpy()
     n0, n1 = labels
     g = math.gcd(l, n1 - n0)
     cols = np.arange(l)
     arg = np.angle(values[n1]) - np.angle(values[n0])
+    j = np.arange(levels.start, levels.stop)[:, None, None]
     turns = arg.reshape(-1, g).sum(axis=0) / (2 * np.pi)
-    turns += (l // g) * j * ((n1 < 0) - (n0 < 0)) / 2
+    turns = turns + (l // g) * j * ((n1 < 0) - (n0 < 0)) / 2
     e = ((cols + n1) // l - (cols + n0) // l).reshape(-1, g).sum(axis=0)
     d = np.gcd(e, grid)
     m = grid // d
     inv = np.array([pow(int(x), -1, int(y)) for x, y in zip(e // d, m)])
     t = np.floor(-turns * m).astype(np.int64) + np.arange(2)[:, None]
-    return (t % m * inv % m).ravel()
+    return (t % m * inv % m).reshape(len(levels), -1)
 
 
-def _raise_top(top: list, blocks):
+def _raise_top(top, blocks):
     """Raise top[j] to the largest top singular value of each (j, block) that
-    `blocks` yields (see _top_singular)."""
+    `blocks` yields (see _top_singular); j may be an array of one level per
+    matrix, as a sampling at selected points yields it, and top is then an
+    array."""
     np = _numpy()
     gram = None
     for j, block in blocks:
         if gram is None:
             gram = np.empty_like(block)
-        top[j] = max(top[j], float(_top_singular(block, gram).max()))
+        peak = _top_singular(block, gram)
+        if np.ndim(j):
+            np.maximum.at(top, j, peak)
+        else:
+            top[j] = max(top[j], float(peak.max()))
 
 
-def _base_norms(a: BDElement, m: int, grid: int) -> list:
+def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> list:
     """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
 
     A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
     the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
     is the largest singular value of its symbol maximized over
     eff = max(grid, 2 * max power + 1) circle points: the largest over the
-    symbol's blocks (see _top_singular).  Level 0 is one sampling of a; the
-    levels j >= 1 are a second sampling of a's own coefficients, weighted by
-    n^j, at the same eff.  They carry no label 0, so that sampling drops it
-    and is split into the blocks the other labels allow: for labels
-    (-3, 0, 1) the symbol of a is one l x l block, but every later level is
-    gcd(l, 4) blocks.  No delta^j(a) is built; within each sampling the levels
-    only reweight the same sampled coefficients, and both samplings share one
-    conversion of a's values to complex numbers.
+    symbol's blocks (see _top_singular).  No delta^j(a) is built: level j
+    weights a's own sampled coefficients by n^j, so the levels that share a
+    label set share one sampling.  The levels j >= 1 carry no label 0, so with
+    label 0 they are a second sampling without it, split into the blocks the
+    other labels allow: for labels (-3, 0, 1) the symbol of a is one l x l
+    block, but every later level is gcd(l, 4) blocks.  Without label 0 all
+    levels are one sampling.  Both samplings share `values`, one conversion of
+    a's values to complex numbers (_complex_values, made here when not given).
 
-    A sampling with exactly two labels (every level of a two-term element,
-    and the levels j >= 1 of a three-term one with label 0) has its maximum
-    over the grid, block by block, at the grid point whose cycle phase is
-    nearest 0 (see _phase_points), so each of its levels samples and
-    decomposes only two points per block: at most 2g matrices, not eff * g.
+    A sampling with one or two labels is decomposed only at selected grid
+    points, all its levels in one pass (see _symbol_blocks).  With one label n
+    every block is 1 x 1, of modulus |n^j f_n(i)| at every grid point, so one
+    point per block does: k = 0, where z = 1 exactly, and no eigvalsh call.
+    With two labels each block reaches its maximum over the grid at the grid
+    point whose cycle phase is nearest 0 (see _phase_points), so every level
+    takes two points per block: at most 2g matrices, not eff * g.
     """
+    if values is None:
+        values = _complex_values(a)
     if all(n == 0 for n in a.coeffs):
-        top = Fraction(a.coeffs[0].sup_norm()) if a.coeffs else Fraction(0)
+        top = Fraction(max(map(abs, values[0]))) if a.coeffs else Fraction(0)
         return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
+    np = _numpy()
     eff = max(grid, 2 * _max_power(a) + 1)
     _check_samples(m + 1, eff, a.period)
-    top = [0.0] * (m + 1)
-    values = _complex_values(a)
-    for first, levels in [(0, 1), (1, m + 1)] if m else [(0, 1)]:
+    top = np.zeros(m + 1)
+    for first, levels in [(0, 1), (1, m + 1)] if m and 0 in a.coeffs else [(0, m + 1)]:
         labels = sorted(n for n in a.coeffs if n or not first)
-        if len(labels) != 2:
-            _raise_top(top, _symbol_blocks(a, eff, levels, first, values))
-            continue
-        for j in range(first, levels):
-            points = _phase_points(a.period, labels, values, j, eff)
-            _raise_top(top, _symbol_blocks(a, eff, j + 1, j, values, points))
-    return [(Fraction(t), "grid-estimate", eff) for t in top]
+        points = None
+        if len(labels) == 1:
+            points = np.zeros((levels - first, a.period), dtype=np.int64)
+        elif len(labels) == 2:
+            points = _phase_points(a.period, labels, values, range(first, levels), eff)
+        _raise_top(top, _symbol_blocks(a, eff, levels, first, values, points))
+    return [(Fraction(t), "grid-estimate", eff) for t in top.tolist()]
 
 
 def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
@@ -500,18 +523,21 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
 
     The base norms |delta^j(a)|, j = 0..m, are sampled straight from a's
     coefficients, and no delta^j(a) is built: delta^j only reweights label n
-    by n^j.  Level 0 is one sampling; the levels j >= 1, which have no label
-    0, are a second one without it, and within each sampling the sampled
-    coefficients are shared by its levels.  Each symbol is sampled as the g
-    blocks of size l/g that its own labels allow (see _symbol_blocks), and its
-    norm is the largest of the blocks' top singular values, each the square
-    root of the largest eigenvalue of the block's Gram matrix, from eigvalsh
-    (see _top_singular).  A sampling with exactly two labels is decomposed
-    only at the two grid points per block whose cycle phase is nearest 0,
-    where the block's top singular value is largest (Wielandt, and the Floquet
-    theory of periodic Jacobi matrices; see _phase_points); the value is still
-    the grid maximum over eff points, so kind, grid and window keep their
-    meaning.
+    by n^j.  Each label set is sampled once for all its levels: level 0 and
+    the levels j >= 1, which have no label 0, are two samplings when a has
+    label 0 and one otherwise.  Each symbol is sampled as the g blocks of size
+    l/g that its own labels allow (see _symbol_blocks), and its norm is the
+    largest of the blocks' top singular values, each the square root of the
+    largest eigenvalue of the block's Gram matrix, from eigvalsh (see
+    _top_singular).  A sampling with one label is read at one grid point per
+    block, since its 1 x 1 blocks have the same modulus at every point; one
+    with two labels is decomposed only at the two grid points per block whose
+    cycle phase is nearest 0, where the block's top singular value is largest
+    (Wielandt, and the Floquet theory of periodic Jacobi matrices; see
+    _phase_points).  Either way all its levels go through one pass and one
+    eigvalsh call, and the value is still the grid maximum over eff points,
+    so kind, grid and window keep their meaning.  a's values are converted to
+    complex numbers once, for the samplings and the window alike.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the
@@ -528,14 +554,17 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
         raise ValueError(f"norm level above {_MAX_LEVEL}")
     if method not in ("binomial", "recursive"):
         raise ValueError(f"unknown method {method!r}")
-    return _assemble_norm(a, _base_norms(a, m, grid), method)
+    values = _complex_values(a)
+    return _assemble_norm(_base_norms(a, m, grid, values), method, values)
 
 
-def _assemble_norm(a: BDElement, parts: list, method: str) -> NormReport:
-    """The M-norm report of a from its base norms |delta^j(a)|, j = 0..M, as
-    listed by _base_norms; M is len(parts) - 1.  Every level shares one kind
-    and one effective grid.  The values are exact Fractions, so both methods
-    give the same sum, and the same value once it is clamped into the window."""
+def _assemble_norm(parts: list, method: str, values: dict) -> NormReport:
+    """The M-norm report of an element a from its base norms |delta^j(a)|,
+    j = 0..M, as listed by _base_norms; M is len(parts) - 1.  Every level
+    shares one kind and one effective grid.  The values are exact Fractions, so
+    both methods give the same sum, and the same value once it is clamped into
+    the window.  The window reads sup |f_n| from `values`, a's values from
+    _complex_values."""
     m = len(parts) - 1
     base = [p[0] for p in parts]
     if method == "binomial":
@@ -546,8 +575,8 @@ def _assemble_norm(a: BDElement, parts: list, method: str) -> NormReport:
         value = base[0]
     _, kind, eff = parts[0]
     lower, upper = 0.0, 0.0
-    for n, f in a.coeffs.items():
-        w = (1 + abs(n)) ** m * f.sup_norm()
+    for n, z in values.items():
+        w = (1 + abs(n)) ** m * max(map(abs, z))
         lower = max(lower, w)
         upper += w
     # both ends bound the exact grid maximum, so only rounding puts it outside

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bd_algebra import BDElement
-from .odometer_fn import LocConstFn
 from .profinite import DivisorChain, ProfiniteInt
 from .supernatural import SupernaturalNumber, _Frozen, _int, _rational
+
+if TYPE_CHECKING:  # for the annotations only: the PhiFn verbs load no algebra layer
+    from .bd_algebra import BDElement
 
 
 class GSRational(_Frozen):
@@ -73,8 +75,10 @@ def residue_projection(l: int, j: int, S: SupernaturalNumber) -> BDElement:
         raise ValueError("level must be positive")
     if not S.divisible_by(l):
         raise ValueError(f"{l} does not divide {S}")
+    from . import bd_algebra, odometer_fn  # here: no other function builds an element
+
     values = [1 if r == j % l else 0 for r in range(l)]
-    return BDElement.mult_op(S, LocConstFn(values))
+    return bd_algebra.BDElement.mult_op(S, odometer_fn.LocConstFn(values))
 
 
 def k0_class(p: BDElement) -> GSRational:

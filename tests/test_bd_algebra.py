@@ -257,18 +257,34 @@ def test_linalg_sees_stacks_of_blocks(monkeypatch):
 def test_each_level_is_sampled_as_its_own_blocks(monkeypatch):
     # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, sampled at
     # all 16 points, but the later levels have only the labels (-3, 1), so
-    # g = gcd(24, 4) = 4 blocks of size 6, each at its two selected points
+    # g = gcd(24, 4) = 4 blocks of size 6, each at its two selected points;
+    # levels 1 and 2 share that label set, so one sampling and one call
     shapes = _record_linalg_shapes(monkeypatch)
     a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 24, 24))] + [("eigvalsh", (2 * 4, 6, 6))] * 2
+    assert shapes == [("eigvalsh", (16, 24, 24)), ("eigvalsh", (2 * 2 * 4, 6, 6))]
 
 
-def _two_label_corpus() -> list:
-    """Seeded elements whose norm levels are sampled with exactly two labels:
-    two labels in -7..7, and a third label 0 on some (their levels j >= 1),
-    values that are roots of unity scaled by a Fraction, or 0."""
-    rng = random.Random(67)
+def test_each_label_set_reaches_eigvalsh_once(monkeypatch):
+    # labels (-1, 3) at l = 8 are g = 4 blocks of size 2 at every level: all
+    # m + 1 levels are one sampling, two points per block and level, and one
+    # eigvalsh call; a single label gives 1 x 1 blocks, which never reach it
+    shapes = _record_linalg_shapes(monkeypatch)
+    two = BDElement(S, {-1: character(8, 3), 3: LocConstFn([2, 0, -1, 3, 1, 1, 2, 4])})
+    one = BDElement(S, {-3: _big(12, 1)})
+    for m in range(7):
+        operator_norm(two, m=m, grid=16)
+        assert shapes == [("eigvalsh", ((m + 1) * 2 * 4, 2, 2))]
+        shapes.clear()
+        assert operator_norm(one, m=m, grid=16).value == pytest.approx((1 + 3) ** m * 34)
+        assert shapes == []
+
+
+def _label_corpus(seed: int, k: int) -> list:
+    """48 seeded elements whose norm levels are sampled with exactly k labels:
+    k labels in -7..7, and label 0 on some (their levels j >= 1), values that
+    are roots of unity scaled by a Fraction, or 0."""
+    rng = random.Random(seed)
 
     def value():
         if rng.random() < 0.1:
@@ -278,16 +294,17 @@ def _two_label_corpus() -> list:
     out = []
     while len(out) < 48:
         l = rng.choice((1, 2, 3, 4, 6, 8, 12))
-        labels = rng.sample([n for n in range(-7, 8) if n], 2)
+        labels = rng.sample([n for n in range(-7, 8) if n], k)
         if rng.random() < 0.25:
             labels.append(0)
         a = BDElement(S, {n: LocConstFn([value() for _ in range(l)]) for n in labels})
-        if sum(1 for n in a.coeffs if n) == 2:
+        if sum(1 for n in a.coeffs if n) == k:
             out.append(a)
     return out
 
 
-TWO_LABEL_CORPUS = _two_label_corpus()
+TWO_LABEL_CORPUS = _label_corpus(67, 2)
+ONE_LABEL_CORPUS = _label_corpus(71, 1)
 
 
 def test_two_label_corpus_covers_the_cases():
@@ -305,49 +322,84 @@ def test_two_label_corpus_covers_the_cases():
                     "a zero value"}
 
 
-@pytest.mark.parametrize("grid", [16, 17, 256, 1000])
-def test_two_label_levels_reach_the_full_grid_maximum(grid):
-    # a two-label level is sampled only at the two points per block that its
-    # cycle phases select; its value is the maximum over every grid point
-    checked = 0
-    for a in TWO_LABEL_CORPUS:
+def _levels_off_the_full_grid(corpus: list, grid: int, labels: int) -> tuple:
+    """(levels checked, levels off): every norm level j <= 6 of the corpus
+    sampled with `labels` labels, against the maximum over every grid point,
+    within 1e-14 relative."""
+    checked = off = 0
+    for a in corpus:
         parts = bd_algebra._base_norms(a, 6, grid)
         for j, (value, kind, eff) in enumerate(parts):
-            if sum(1 for n in a.coeffs if n or not j) != 2:
+            if sum(1 for n in a.coeffs if n or not j) != labels:
                 continue
             full = 0.0
             for _, block in bd_algebra._symbol_blocks(a, eff, j + 1, j):
                 full = max(full, float(bd_algebra._top_singular(block, np.empty_like(block)).max()))
             assert (kind, eff) == ("grid-estimate", max(grid, 2 * bd_algebra._max_power(a) + 1))
-            assert abs(float(value) - full) <= 1e-14 * full
+            off += not abs(float(value) - full) <= 1e-14 * full
             checked += 1
-    assert checked > 200
+    return checked, off
+
+
+@pytest.mark.parametrize("grid", [16, 17, 256, 1000])
+def test_two_label_levels_reach_the_full_grid_maximum(grid):
+    # a two-label level is sampled only at the two points per block that its
+    # cycle phases select; its value is the maximum over every grid point
+    checked, off = _levels_off_the_full_grid(TWO_LABEL_CORPUS, grid, 2)
+    assert checked > 200 and off == 0
+
+
+def test_one_label_corpus_covers_the_cases():
+    seen = set()
+    for a in ONE_LABEL_CORPUS:
+        (n,) = (n for n in a.coeffs if n)
+        seen |= {"n < 0"} if n < 0 else set()
+        seen |= {"|n| >= l"} if abs(n) >= a.period else set()
+        seen |= {"label 0"} if 0 in a.coeffs else {"merged level 0"}
+        seen |= {"a zero value"} if any(v.is_zero() for v in a.coeffs[n].values) else set()
+    assert seen == {"n < 0", "|n| >= l", "label 0", "merged level 0", "a zero value"}
+
+
+@pytest.mark.parametrize("grid", [16, 17, 256, 1000])
+def test_one_label_levels_reach_the_full_grid_maximum(grid):
+    # a one-label level is read at k = 0 only, its 1 x 1 blocks having one
+    # modulus at every grid point; without label 0 that sampling holds level
+    # 0 too, and with it level 0 is a two-label sampling of its own
+    one, off_one = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, 1)
+    two, off_two = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, 2)
+    assert one > 300 and two > 10 and off_one == off_two == 0
 
 
 def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatch):
     # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
     # levels four 3 x 3 blocks, sampled from a's own coefficients without
     # label 0 (delta(a) is not built); those two labels are sampled at two
-    # points per block, and every level goes to eigvalsh as one stack
+    # points per block, and both levels go to eigvalsh as one stack
     a = BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)})
     levels = [(j, b.shape) for j, b in bd_algebra._symbol_blocks(a, 16, 3, first=1)]
     assert levels == [(1, (16, 4, 3, 3)), (2, (16, 4, 3, 3))]
     shapes = _record_linalg_shapes(monkeypatch)
     monkeypatch.setattr(BDElement, "delta_label", None)
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 12, 12))] + [("eigvalsh", (2 * 4, 3, 3))] * 2
+    assert shapes == [("eigvalsh", (16, 12, 12)), ("eigvalsh", (2 * 2 * 4, 3, 3))]
 
 
 def test_each_value_is_converted_once_per_norm(monkeypatch):
     # level 0 and the levels j >= 1 are two samplings; they share one
-    # conversion of every value to a complex number
+    # conversion of every value to a complex number, and so does the window
+    # of operator_norm, also for a diagonal element
     a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
+    diag = BDElement.mult_op(S, _big(24, 1))
     want = bd_algebra._base_norms(a, 3, 16)
+    reports = [operator_norm(b, m=3, grid=16) for b in (a, diag)]
     calls = []
     to_complex = Cyclo.to_complex
     monkeypatch.setattr(Cyclo, "to_complex", lambda v: calls.append(v) or to_complex(v))
     assert bd_algebra._base_norms(a, 3, 16) == want
     assert len(calls) == 3 * 24
+    calls.clear()
+    assert [operator_norm(b, m=3, grid=16) for b in (a, diag)] == reports
+    assert len(calls) == 4 * 24
 
 
 def _stack(rng, s: int, count: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,17 @@ def test_projection_is_projection():
     p = residue_projection(6, 2, S)
     assert p * p == p
     assert p.adjoint() == p
+
+
+def test_import_loads_no_algebra_layer():
+    # the PhiFn functions never build an element; residue_projection, the one
+    # function that does, imports bd_algebra when it is called
+    code = ("import sys, bdalg.k_invariants; "
+            "print(sorted({'bdalg.bd_algebra', 'bdalg.cyclotomic'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_k0_classes():
