@@ -21,18 +21,17 @@ sampled once for all its levels: the levels j >= 1 carry no label 0, so they
 share one sampling without it, as the blocks the other labels allow, and
 without label 0 level 0 joins them.  Every block's norm is the square root of
 the largest eigenvalue of its Gram matrix, from LAPACK's eigvalsh
-(_top_singular).
+(_top_singular), at some grid points only, with the maximum over all of them.
 
-A sampling with one label n has 1 x 1 blocks of modulus |n^j f_n(i)| at every
-grid point, so it is read at one point, z = 1.  One with exactly two labels
-n0 < n1 needs two grid points per block and level.  Each block is, up to
-diagonal unitaries, one weighted s-cycle whose singular values depend on z
-only through one cycle phase psi_c, and its top singular value is largest
-where cos psi_c is: at psi = 0 by Wielandt's rho(A) <= rho(|A|), and falling
-in |psi| on [0, pi] by the Floquet theory of periodic Jacobi matrices (see
-_phase_points).  So the grid maximum is taken over the two grid points per
-block whose phase is nearest 0, which give the same value as all of them.
-All levels of such a sampling go through one pass and one eigvalsh call.
+With one label n the 1 x 1 blocks have modulus |n^j f_n(i)| at every point, so
+z = 1 does.  With two labels each block is, up to diagonal unitaries, one
+weighted s-cycle whose singular values depend on z only through one cycle
+phase psi_c, and peak where cos psi_c does (Wielandt's rho(A) <= rho(|A|), and
+the Floquet theory of periodic Jacobi matrices; see _phase_points): two points
+per block and level, in one eigvalsh call.  With three or more, every 8th
+point and the best one's neighbours are decomposed, and the rest where a
+Schur-complement Cholesky certificate cannot prove them lower (see
+_seeded_tops).
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window, into which they are clamped; only the diagonal case is exact.
@@ -351,11 +350,11 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     block p mod g.
     The (level, index) pairs, row by row, then take the place of the grid
     points in the steps, one matrix each, and a step yields (js, stack): the
-    levels of its matrices and a (matrices, s, s) stack.  All levels share
-    one step, so one eigvalsh call, while levels * P * l * s <= _BLOCK_BYTES /
-    16: up to 14 levels at l = 48 with two points per block.  _base_norms
-    passes one point per block for a sampling with one label, and those of
-    _phase_points for one with two.
+    levels of its matrices and a (matrices, s, s) stack, which shares
+    _BLOCK_BYTES with the step's buffer: all levels share one eigvalsh call
+    while levels * P * (l + s) * s <= _BLOCK_BYTES / 16.  _base_norms
+    passes one point per block for a sampling with one label, those of
+    _phase_points for one with two, and those of _seeded_tops for more.
     """
     np = _numpy()
     l = a.period
@@ -373,7 +372,7 @@ def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
     count = grid if points is None else points.size
     if points is not None:  # one matrix per (level, index) pair, row by row
         per, points = points.shape[1], points.ravel()
-    step = max(1, _BLOCK_BYTES // (16 * l * s))
+    step = max(1, _BLOCK_BYTES // (16 * (l if points is None else l + s) * s))
     buf = np.zeros((min(step, count), g, s, s), dtype=complex)
     for k0 in range(0, count, step):
         k = np.arange(k0, min(k0 + step, count))
@@ -458,44 +457,122 @@ def _phase_points(l: int, labels, values: dict, levels: range, grid: int):
 
 def _raise_top(top, blocks):
     """Raise top[j] to the largest top singular value of each (j, block) that
-    `blocks` yields (see _top_singular); j may be an array of one level per
-    matrix, as a sampling at selected points yields it, and top is then an
-    array."""
-    np = _numpy()
+    `blocks` yields (see _top_singular): the maximum over the whole grid."""
     gram = None
     for j, block in blocks:
         if gram is None:
-            gram = np.empty_like(block)
-        peak = _top_singular(block, gram)
-        if np.ndim(j):
-            np.maximum.at(top, j, peak)
-        else:
-            top[j] = max(top[j], float(peak.max()))
+            gram = _numpy().empty_like(block)
+        top[j] = max(top[j], float(_top_singular(block, gram).max()))
+
+
+def _point_tops(a: BDElement, grid: int, first: int, levels: int, values: dict, points):
+    """The top singular value of each (level, grid index) matrix of `points`
+    (see _symbol_blocks), as an array shaped like `points`."""
+    np = _numpy()
+    gram, out = None, []
+    for _, stack in _symbol_blocks(a, grid, levels, first, values, points):
+        if gram is None:
+            gram = np.empty_like(stack)
+        out.append(_top_singular(stack, gram))
+    return np.concatenate(out).reshape(points.shape)
+
+
+def _definite(h):
+    """Whether each Hermitian matrix of the stack h is positive definite: one
+    batched Cholesky, and only where that fails, the least eigenvalue of each."""
+    from numpy.linalg import LinAlgError  # the class itself, past any wrapper of np
+    np = _numpy()
+    try:
+        np.linalg.cholesky(h)
+        return np.ones(h.shape[:-2], dtype=bool)
+    except LinAlgError:
+        return np.linalg.eigvalsh(h)[..., 0] > 0
+
+
+_SEED_STEP, _MARGIN, _GAP = 8, 1e-9, 1e-3  # see _seeded_tops and _uncovered
+
+
+def _uncovered(a: BDElement, grid: int, j: int, values: dict, lam: float, rest):
+    """The grid indices of `rest` where level j of a (three or more labels) is
+    not proved below c = (1 - _MARGIN) lam, lam its top at the other points.
+
+    The columns F of a block whose entries carry one power of z each are
+    constant up to a diagonal unitary, and the others are B_V(z) = sum_p z^p
+    B_p.  With C = B_F^H B_F and c I - C = L L^H, lambda_max(B^H B) < c
+    exactly where the r x r Schur complement c I - A(z)^H A(z) is definite,
+    A(z) = sum_p z^p [B_p; L^-1 B_F^H B_p] (r = |V|, 4 for labels (-3, 0, 1)):
+    a Laurent polynomial, checked at the grid points by one batched Cholesky.
+    All are returned unless (1 - _GAP) lam I - C is definite, which keeps the
+    rounding, about (s + f) eps / _GAP relative to lam, below _MARGIN.
+    """
+    np = _numpy()
+    if not rest.size:
+        return rest
+    l, labels = a.period, sorted(n for n in a.coeffs if n or not j)
+    g = _cosets(l, labels)[0]
+    s, cols = l // g, np.arange(l)
+    pw = np.array([(cols + n) // l for n in labels])
+    powers, at = np.unique(pw, return_inverse=True)
+    coef = np.zeros((len(powers), g, s, s), dtype=complex)
+    for n, p in zip(labels, at.reshape(pw.shape)):
+        coef[p, cols % g, (cols + n) % l // g, cols // g] = complex(n ** j) * np.array(values[n])
+    fixed = (pw == pw[0]).all(axis=0).reshape(s, g).all(axis=1)
+    bf, bv = coef.sum(axis=0)[..., fixed], coef[..., ~fixed]
+    c, gram, eye = (1 - _MARGIN) * lam, bf.conj().swapaxes(-1, -2) @ bf, np.eye(fixed.sum())
+    if not _definite((1 - _GAP) * lam * eye - gram).all():
+        return rest
+    low = np.linalg.cholesky(c * eye - gram)
+    bv = np.concatenate([bv, np.linalg.solve(low, bf.conj().swapaxes(-1, -2) @ bv)], axis=-2)
+    r = bv.shape[-1]
+    prods = np.einsum("pgar,qgat->pqgrt", bv.conj(), bv).reshape(len(powers) ** 2, -1)
+    shift = (powers[None, :] - powers[:, None]).ravel()  # A_p^H A_q carries z^(q - p)
+    step = max(1, _BLOCK_BYTES // (16 * g * r * r))
+    bad = [rest[:0]]
+    for k in np.split(rest, range(step, rest.size, step)):
+        phase = np.exp(2j * np.pi * np.outer(k, shift) / grid)
+        bad.append(k[~_definite(c * np.eye(r) - (phase @ prods).reshape(-1, g, r, r)).all(axis=1)])
+    return np.concatenate(bad)
+
+
+def _seeded_tops(a: BDElement, grid: int, first: int, levels: int, values: dict):
+    """The grid maxima of levels first..levels - 1 of a sampling with three or
+    more labels, from every _SEED_STEP-th point, the points around each level's
+    best one, and the points that _uncovered cannot prove lower.  1 x 1 blocks
+    take the whole grid: their modulus costs less than the certificate."""
+    np = _numpy()
+    g = _cosets(a.period, [n for n in a.coeffs if n or not first])[0]
+    if g == a.period:
+        top = np.zeros(levels)
+        _raise_top(top, _symbol_blocks(a, grid, levels, first, values))
+        return top[first:]
+    seed = np.arange(0, grid, _SEED_STEP).repeat(g)  # the p-th for block p mod g
+    seen = _point_tops(a, grid, first, levels, values, np.tile(seed, (levels - first, 1)))
+    best = seed[seen.argmax(axis=1)]
+    near = (best[:, None] + np.r_[1 - _SEED_STEP:0, 1:_SEED_STEP]) % grid
+    near_tops = _point_tops(a, grid, first, levels, values, near.repeat(g, axis=1))
+    top = np.maximum(seen.max(axis=1), near_tops.max(axis=1))
+    for r, j in enumerate(range(first, levels)):
+        rest = np.ones(grid, dtype=bool)
+        rest[seed] = rest[near[r]] = False
+        rest = _uncovered(a, grid, j, values, top[r] ** 2, np.flatnonzero(rest)).repeat(g)
+        if rest.size:
+            top[r] = max(top[r], _point_tops(a, grid, j, j + 1, values, rest[None]).max())
+    return top
 
 
 def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> list:
     """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
 
     A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
-    the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise every level
-    is the largest singular value of its symbol maximized over
-    eff = max(grid, 2 * max power + 1) circle points: the largest over the
-    symbol's blocks (see _top_singular).  No delta^j(a) is built: level j
-    weights a's own sampled coefficients by n^j, so the levels that share a
-    label set share one sampling.  The levels j >= 1 carry no label 0, so with
-    label 0 they are a second sampling without it, split into the blocks the
-    other labels allow: for labels (-3, 0, 1) the symbol of a is one l x l
-    block, but every later level is gcd(l, 4) blocks.  Without label 0 all
-    levels are one sampling.  Both samplings share `values`, one conversion of
-    a's values to complex numbers (_complex_values, made here when not given).
-
-    A sampling with one or two labels is decomposed only at selected grid
-    points, all its levels in one pass (see _symbol_blocks).  With one label n
-    every block is 1 x 1, of modulus |n^j f_n(i)| at every grid point, so one
-    point per block does: k = 0, where z = 1 exactly, and no eigvalsh call.
-    With two labels each block reaches its maximum over the grid at the grid
-    point whose cycle phase is nearest 0 (see _phase_points), so every level
-    takes two points per block: at most 2g matrices, not eff * g.
+    the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise level j is
+    the largest top singular value (see _top_singular) of the symbol's blocks
+    over eff = max(grid, 2 * max power + 1) circle points.  Level j weights a's
+    own sampled coefficients by n^j, so the levels that share a label set
+    share one sampling: with label 0, level 0 is one and the levels j >= 1,
+    split into the blocks the other labels allow, another.  Both share
+    `values`, a's values from _complex_values.  One label is read at k = 0,
+    two at the points of _phase_points, and three or more at those of
+    _seeded_tops, each with the maximum over the whole grid (see the module).
     """
     if values is None:
         values = _complex_values(a)
@@ -508,12 +585,14 @@ def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> 
     top = np.zeros(m + 1)
     for first, levels in [(0, 1), (1, m + 1)] if m and 0 in a.coeffs else [(0, m + 1)]:
         labels = sorted(n for n in a.coeffs if n or not first)
-        points = None
         if len(labels) == 1:
             points = np.zeros((levels - first, a.period), dtype=np.int64)
         elif len(labels) == 2:
             points = _phase_points(a.period, labels, values, range(first, levels), eff)
-        _raise_top(top, _symbol_blocks(a, eff, levels, first, values, points))
+        else:
+            top[first:levels] = _seeded_tops(a, eff, first, levels, values)
+            continue
+        top[first:levels] = _point_tops(a, eff, first, levels, values, points).max(axis=1)
     return [(Fraction(t), "grid-estimate", eff) for t in top.tolist()]
 
 
@@ -522,22 +601,13 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     """Estimate the M-norm built from the label derivation.
 
     The base norms |delta^j(a)|, j = 0..m, are sampled straight from a's
-    coefficients, and no delta^j(a) is built: delta^j only reweights label n
-    by n^j.  Each label set is sampled once for all its levels: level 0 and
-    the levels j >= 1, which have no label 0, are two samplings when a has
-    label 0 and one otherwise.  Each symbol is sampled as the g blocks of size
-    l/g that its own labels allow (see _symbol_blocks), and its norm is the
-    largest of the blocks' top singular values, each the square root of the
-    largest eigenvalue of the block's Gram matrix, from eigvalsh (see
-    _top_singular).  A sampling with one label is read at one grid point per
-    block, since its 1 x 1 blocks have the same modulus at every point; one
-    with two labels is decomposed only at the two grid points per block whose
-    cycle phase is nearest 0, where the block's top singular value is largest
-    (Wielandt, and the Floquet theory of periodic Jacobi matrices; see
-    _phase_points).  Either way all its levels go through one pass and one
-    eigvalsh call, and the value is still the grid maximum over eff points,
-    so kind, grid and window keep their meaning.  a's values are converted to
-    complex numbers once, for the samplings and the window alike.
+    coefficients, each label set once for all its levels (see _base_norms).
+    One- and two-label samplings are decomposed where their blocks peak; one
+    with three or more labels at every 8th grid point, around the best one,
+    and where a Schur-complement Cholesky certificate cannot prove the rest
+    lower.  The value is still the maximum over all eff grid points (bit for
+    bit with three or more labels), so kind, grid and window keep their
+    meaning.  a's values are converted to complex numbers once, window too.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the

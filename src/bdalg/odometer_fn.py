@@ -132,10 +132,6 @@ class LocConstFn(_Frozen):
 
     __hash__ = None
 
-    def sup_norm(self) -> float:
-        """max |f| over one period (equals the sup over the whole odometer)."""
-        return max(abs(v) for v in self.values)
-
     def to_json(self) -> dict:
         return {"period": self.period, "values": [v.to_json() for v in self.values]}
 

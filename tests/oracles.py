@@ -108,6 +108,12 @@ def symbol_star(x: list) -> list:
     return [[{-p: c.conj() for p, c in x[j][i].items()} for j in range(n)] for i in range(n)]
 
 
+def sup_norm(f) -> float:
+    """max |f| over one period of a LocConstFn, which is its sup over the
+    whole odometer."""
+    return max(abs(v) for v in f.values)
+
+
 def entry(a: BDElement, i: int, j: int) -> Cyclo:
     """The matrix entry <E_i, a E_j>."""
     return apply_to_basis(a, j).get(i, Cyclo.zero())

@@ -11,7 +11,7 @@ from bdalg import (BDElement, Cyclo, INF, LocConstFn, SupernaturalNumber,
 from bdalg import bd_algebra
 from bdalg.verify import rand_bd
 
-from oracles import (apply_to_basis, columns_equal, compose_on_basis, entry, symbol,
+from oracles import (apply_to_basis, columns_equal, compose_on_basis, entry, sup_norm, symbol,
                      symbol_product, symbol_star, symbol_sum)
 
 S = SupernaturalNumber.of({2: INF, 3: INF})
@@ -255,14 +255,16 @@ def test_linalg_sees_stacks_of_blocks(monkeypatch):
 
 
 def test_each_level_is_sampled_as_its_own_blocks(monkeypatch):
-    # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, sampled at
-    # all 16 points, but the later levels have only the labels (-3, 1), so
-    # g = gcd(24, 4) = 4 blocks of size 6, each at its two selected points;
-    # levels 1 and 2 share that label set, so one sampling and one call
+    # labels (-3, 0, 1) at l = 24: g = gcd(24, 3, 4) = 1 at level 0, seeded at
+    # every 8th of the 16 points and then at the 14 around the better one,
+    # which leaves no point to certify; the later levels have only the labels
+    # (-3, 1), so g = gcd(24, 4) = 4 blocks of size 6, each at its two
+    # selected points; levels 1 and 2 share that label set, so one call
     shapes = _record_linalg_shapes(monkeypatch)
     a = BDElement(S, {-3: _big(24, 1), 0: character(24, 5), 1: _big(24, 2, 7)})
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 24, 24)), ("eigvalsh", (2 * 2 * 4, 6, 6))]
+    assert shapes == [("eigvalsh", (2, 24, 24)), ("eigvalsh", (14, 24, 24)),
+                      ("eigvalsh", (2 * 2 * 4, 6, 6))]
 
 
 def test_each_label_set_reaches_eigvalsh_once(monkeypatch):
@@ -322,21 +324,20 @@ def test_two_label_corpus_covers_the_cases():
                     "a zero value"}
 
 
-def _levels_off_the_full_grid(corpus: list, grid: int, labels: int) -> tuple:
+def _levels_off_the_full_grid(corpus: list, grid: int, labels: tuple, rel: float = 1e-14) -> tuple:
     """(levels checked, levels off): every norm level j <= 6 of the corpus
-    sampled with `labels` labels, against the maximum over every grid point,
-    within 1e-14 relative."""
+    sampled with a number of labels in `labels`, against the maximum over
+    every grid point (_raise_top without points), within `rel` relative."""
     checked = off = 0
     for a in corpus:
         parts = bd_algebra._base_norms(a, 6, grid)
         for j, (value, kind, eff) in enumerate(parts):
-            if sum(1 for n in a.coeffs if n or not j) != labels:
+            if sum(1 for n in a.coeffs if n or not j) not in labels:
                 continue
-            full = 0.0
-            for _, block in bd_algebra._symbol_blocks(a, eff, j + 1, j):
-                full = max(full, float(bd_algebra._top_singular(block, np.empty_like(block)).max()))
+            full = [0.0] * (j + 1)
+            bd_algebra._raise_top(full, bd_algebra._symbol_blocks(a, eff, j + 1, j))
             assert (kind, eff) == ("grid-estimate", max(grid, 2 * bd_algebra._max_power(a) + 1))
-            off += not abs(float(value) - full) <= 1e-14 * full
+            off += not abs(float(value) - full[j]) <= rel * full[j]
             checked += 1
     return checked, off
 
@@ -345,7 +346,7 @@ def _levels_off_the_full_grid(corpus: list, grid: int, labels: int) -> tuple:
 def test_two_label_levels_reach_the_full_grid_maximum(grid):
     # a two-label level is sampled only at the two points per block that its
     # cycle phases select; its value is the maximum over every grid point
-    checked, off = _levels_off_the_full_grid(TWO_LABEL_CORPUS, grid, 2)
+    checked, off = _levels_off_the_full_grid(TWO_LABEL_CORPUS, grid, (2,))
     assert checked > 200 and off == 0
 
 
@@ -365,23 +366,100 @@ def test_one_label_levels_reach_the_full_grid_maximum(grid):
     # a one-label level is read at k = 0 only, its 1 x 1 blocks having one
     # modulus at every grid point; without label 0 that sampling holds level
     # 0 too, and with it level 0 is a two-label sampling of its own
-    one, off_one = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, 1)
-    two, off_two = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, 2)
+    one, off_one = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, (1,))
+    two, off_two = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, (2,))
     assert one > 300 and two > 10 and off_one == off_two == 0
 
 
+THREE_LABEL_CORPUS = _label_corpus(73, 3)
+# level 1 (labels -5, 2, 6: one 2 x 2 block) peaks twice, and the seed and
+# its neighbours find the lower peak only
+TWO_PEAKS = BDElement(S, {
+    -5: LocConstFn([Fraction(-5, 2), 3 * root_of_unity(7, 12)]),
+    0: LocConstFn([Fraction(2, 3) * root_of_unity(11, 12), Fraction(1, 2) * root_of_unity(1, 12)]),
+    2: LocConstFn([-2, Fraction(5, 3) * root_of_unity(7, 12)]),
+    6: LocConstFn([Fraction(-3, 4), Fraction(1, 2) * root_of_unity(1, 12)])})
+
+
+def test_three_label_corpus_covers_the_cases():
+    seen = set()
+    for a in THREE_LABEL_CORPUS:
+        l = a.period
+        for labels in ({n for n in a.coeffs if n}, set(a.coeffs)):
+            if len(labels) < 3:
+                continue
+            seen |= {f"{len(labels)} labels"}
+            seen |= {"g > 1"} if bd_algebra._cosets(l, labels)[0] > 1 else set()
+            # every column carries two powers of z, so C is empty
+            if all(len({(i + n) // l for n in labels}) > 1 for i in range(l)):
+                seen |= {"C empty"}
+        seen |= {"a zero value"} if any(v.is_zero() for f in a.coeffs.values()
+                                        for v in f.values) else set()
+    assert seen == {"3 labels", "4 labels", "g > 1", "C empty", "a zero value"}
+
+
+@pytest.mark.parametrize("grid", [16, 17, 256, 1000])
+def test_three_label_levels_reach_the_full_grid_maximum(grid):
+    # a level with three or more labels is decomposed at the seed points, at
+    # the neighbours of its best one and wherever the certificate fails; its
+    # value is the maximum over every grid point, bit for bit, at each m
+    corpus = THREE_LABEL_CORPUS + [TWO_PEAKS]
+    checked, off = _levels_off_the_full_grid(corpus, grid, (3, 4), rel=0)
+    assert checked > 200 and off == 0
+    for a in corpus[::4]:
+        parts = bd_algebra._base_norms(a, 6, grid)
+        assert all(bd_algebra._base_norms(a, m, grid) == parts[:m + 1] for m in range(6))
+
+
+def test_a_missed_peak_is_decomposed(monkeypatch):
+    # level 1 of TWO_PEAKS: 32 seed points, the 14 around the best one, and
+    # the 12 around the higher peak that the certificate cannot rule out;
+    # level 2 shares the seed and neighbour calls and needs 2 more, 106
+    # matrices where the whole grid takes 2 * 256 (level 0, with four
+    # labels, is its own sampling and makes the first two calls)
+    full = [0.0] * 3
+    bd_algebra._raise_top(full, bd_algebra._symbol_blocks(TWO_PEAKS, 256, 3, 1))
+    shapes = _record_linalg_shapes(monkeypatch)
+    parts = bd_algebra._base_norms(TWO_PEAKS, 2, 256)
+    assert [float(p[0]) for p in parts[1:]] == full[1:]
+    grams = [shape for name, shape in shapes if name == "eigvalsh" and len(shape) == 3]
+    assert grams[2:] == [(2 * 32, 2, 2), (2 * 14, 2, 2), (12, 2, 2), (2, 2, 2)]
+
+
+def test_three_label_norm_decomposes_few_points(monkeypatch):
+    # labels (-3, 0, 1) at l = 48 with unit values, as the benchmark draws
+    # them: level 0 is one 48 x 48 block, decomposed at the 32 seed points,
+    # in steps whose buffer and stack share _BLOCK_BYTES, and at the 14 around
+    # the best one; the certificate rules out the other 210 with one 4 x 4
+    # Cholesky each (r = 4: columns 0, 1, 2 and 47 carry two powers of z)
+    a = BDElement(S, {-3: LocConstFn([root_of_unity(i * i, 12) for i in range(48)]),
+                      0: LocConstFn([root_of_unity(2 * i, 12) * (1 + i % 3) for i in range(48)]),
+                      1: LocConstFn([root_of_unity(i ** 3 + 2, 12) for i in range(48)])})
+    full = [0.0]
+    bd_algebra._raise_top(full, bd_algebra._symbol_blocks(a, 256, 1))
+    shapes = _record_linalg_shapes(monkeypatch)
+    assert float(bd_algebra._base_norms(a, 0, 256)[0][0]) == full[0]
+    assert sum(shape[0] for name, shape in shapes if name == "eigvalsh") <= 64
+    assert shapes == [("eigvalsh", (14, 48, 48)), ("eigvalsh", (14, 48, 48)),
+                      ("eigvalsh", (4, 48, 48)), ("eigvalsh", (14, 48, 48)),
+                      ("cholesky", (1, 44, 44)), ("cholesky", (1, 44, 44)),
+                      ("solve", (1, 44, 44)), ("cholesky", (210, 1, 4, 4))]
+
+
 def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatch):
-    # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, the later
-    # levels four 3 x 3 blocks, sampled from a's own coefficients without
-    # label 0 (delta(a) is not built); those two labels are sampled at two
-    # points per block, and both levels go to eigvalsh as one stack
+    # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, seeded at 2
+    # and then 14 of the 16 points, the later levels four 3 x 3 blocks,
+    # sampled from a's own coefficients without label 0 (delta(a) is not
+    # built); those two labels are sampled at two points per block, and both
+    # levels go to eigvalsh as one stack
     a = BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)})
     levels = [(j, b.shape) for j, b in bd_algebra._symbol_blocks(a, 16, 3, first=1)]
     assert levels == [(1, (16, 4, 3, 3)), (2, (16, 4, 3, 3))]
     shapes = _record_linalg_shapes(monkeypatch)
     monkeypatch.setattr(BDElement, "delta_label", None)
     operator_norm(a, m=2, grid=16)
-    assert shapes == [("eigvalsh", (16, 12, 12)), ("eigvalsh", (2 * 2 * 4, 3, 3))]
+    assert shapes == [("eigvalsh", (2, 12, 12)), ("eigvalsh", (14, 12, 12)),
+                      ("eigvalsh", (2 * 2 * 4, 3, 3))]
 
 
 def test_each_value_is_converted_once_per_norm(monkeypatch):
@@ -491,7 +569,7 @@ def test_norm_sandwich_and_fourier_contractivity():
         assert rep.window[0] <= rep.value + 1e-9
         assert rep.value <= rep.window[1] + 1e-9
         for n in a.support:
-            assert a.coeffs[n].sup_norm() <= rep.value + 1e-9
+            assert sup_norm(a.coeffs[n]) <= rep.value + 1e-9
 
 
 def _evaluate(sym: list, grid: int) -> np.ndarray:
@@ -514,7 +592,7 @@ def _reference_norm(a: BDElement, m: int, grid: int):
         if not d.coeffs:
             parts.append((0.0, "exact", 0))
         elif d.support == (0,):
-            parts.append((d.coeffs[0].sup_norm(), "exact", 0))
+            parts.append((sup_norm(d.coeffs[0]), "exact", 0))
         else:
             sym = d.matrix_symbol()
             top = max(abs(p) for row in sym for e in row for p in e)
@@ -578,7 +656,7 @@ def test_numeric_path_matches_exact_symbol(a, block_bytes, monkeypatch):
         # so the spectra are compared through their characteristic polynomials
         got = np.array(spectrum_sample(a, grid=grid)).reshape(grid, a.period)
         want = np.linalg.eigvals(_evaluate(a.matrix_symbol(), grid))
-        scale = (1 + sum(f.sup_norm() for f in a.coeffs.values())) ** a.period
+        scale = (1 + sum(sup_norm(f) for f in a.coeffs.values())) ** a.period
         for g, w in zip(got, want):
             assert np.allclose(np.poly(g), np.poly(w), rtol=0, atol=1e-12 * scale)
 
