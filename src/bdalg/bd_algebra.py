@@ -12,9 +12,10 @@ coefficients, which is also the size of its matrix symbol.
 Norms and spectra are evaluated straight from the coefficients: U^n M_f has
 the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
 sampled symbol is assembled from the complex values f_n(i) without forming
-the exact symbol, as the blocks its labels allow (see _symbol_blocks).  The
-exact symbol is plain data, l rows of l {power: Cyclo} dicts, and serves only
-``bd symbol``.
+the exact symbol, as the blocks its labels allow: _symbol_blocks builds only
+the (level, grid point, block) matrices asked for, each alone, for norms and
+spectra alike, and the whole grid is one such request.  The exact symbol is
+plain data, l rows of l {power: Cyclo} dicts, and serves only ``bd symbol``.
 The derivation levels of a norm are sampled from a's own coefficients, level
 j weighting label n by n^j; delta(a) is never built.  Each label set is
 sampled once for all its levels: the levels j >= 1 carry no label 0, so they
@@ -267,9 +268,9 @@ def _max_power(a: BDElement) -> int:
                 for i, v in enumerate(f.values) if not v.is_zero()), default=0)
 
 
-# Grid points per block: one (block, g, s, s) buffer of about a mebibyte is
-# assembled and decomposed at a time.  A whole (grid, l, l) array is 9 MiB at
-# l = 48 and raises peak memory by as much again once the heap fragments.
+# Sampling steps: at most half a mebibyte of s x s blocks at a time, so that
+# their Gram matrices fit in the other half.  A whole (grid, l, l) array is 9 MiB
+# at l = 48 and raises peak memory by as much again once the heap fragments.
 _BLOCK_BYTES = 1 << 20
 
 # Limits on the sampling work, checked before anything is sampled: the norm
@@ -326,66 +327,58 @@ def _complex_values(a: BDElement) -> dict:
     return {n: [v.to_complex() for v in f.values] for n, f in a.coeffs.items()}
 
 
-def _symbol_blocks(a: BDElement, grid: int, levels: int, first: int = 0,
-                   values: dict | None = None, points=None):
-    """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, first <= j <
-    levels, at the points z_k = exp(2 pi i k / grid), in blocks of consecutive k.
+def _symbol_blocks(a: BDElement, grid: int, first: int, values: dict, points):
+    """Sample the symbols of delta^j(a) = sum_n n^j U^n M_{f_n}, j >= first, at
+    points z_k = exp(2 pi i k / grid), as stacks of the blocks asked for.
 
     J^n M_f has the entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i;
     labels congruent mod l land on the same entries and are summed.  With
     (g, n0) from _cosets and s = l/g, only the columns i = c (mod g) reach the
-    rows c + n0 (mod g), so the symbol is stored as its g blocks of size s:
-    block c holds the entry of row r, column i = c (mod g) at (r // g, i // g).
+    rows c + n0 (mod g), so the symbol is its g blocks of size s: block c
+    holds the entry of row r, column i = c (mod g) at (r // g, i // g).
     From first = 1 on, label 0, whose weight is 0^j = 0, is dropped and g
     comes from the remaining labels, so the levels j >= 1 can split into more
     blocks than level 0.
-    A block of grid points is a (points, g, s, s) array, assembled in place.
-    Its per-label samples are computed once for all levels, and level j weights
-    label n by n^j.  `values` are a's values from _complex_values, converted
-    here when not given.  Yields (j, block) with one reused buffer, so each
-    block must be used before the next step.
 
-    `points`, a (levels - first, P) array of grid indices with g dividing P,
-    restricts level first + r to the indices of row r, and the p-th of them to
-    block p mod g.
-    The (level, index) pairs, row by row, then take the place of the grid
-    points in the steps, one matrix each, and a step yields (js, stack): the
-    levels of its matrices and a (matrices, s, s) stack, which shares
-    _BLOCK_BYTES with the step's buffer: all levels share one eigvalsh call
-    while levels * P * (l + s) * s <= _BLOCK_BYTES / 16.  _base_norms
-    passes one point per block for a sampling with one label, those of
-    _phase_points for one with two, and those of _seeded_tops for more.
+    `points` is a (levels - first, P) array of grid indices with g dividing P:
+    row r asks for level first + r at its indices, the p-th of them in block
+    p mod g, so that np.arange(grid).repeat(g) is the whole grid.  Each
+    (level, index, block) is one s x s matrix, built from that block's own s
+    columns, with label n weighted by n^j.  They are yielded row by row as
+    (matrices, s, s) stacks of whole groups of g, each step at most half of
+    _BLOCK_BYTES, so that the caller's Gram matrices fit in the other half,
+    and in one reused buffer: each stack must be used before the next step.
+    `values` are a's values from _complex_values.  _base_norms passes one
+    point per block for a sampling with one label, those of _phase_points for
+    one with two and those of _seeded_tops for more; spectrum_sample and
+    _grid_top (verify) pass the whole grid.
     """
     np = _numpy()
     l = a.period
-    coeffs = {n: f for n, f in a.coeffs.items() if n or not first}
-    g = _cosets(l, coeffs)[0]
+    labels = sorted(n for n in a.coeffs if n or not first)
+    g = _cosets(l, labels)[0]
     s = l // g
-    cols = np.arange(l)
-    if values is None:
-        values = _complex_values(a)
-    values = [(n, np.asarray(values[n], dtype=complex)) for n in sorted(coeffs)]
-    weights = {n: np.array([n ** j for j in range(first, levels)], dtype=complex)
-               for n in coeffs}
-    cb, cc = cols % g, cols // g
-    rows = {n % l: (cols + n) % l // g for n in coeffs}
-    count = grid if points is None else points.size
-    if points is not None:  # one matrix per (level, index) pair, row by row
-        per, points = points.shape[1], points.ravel()
-    step = max(1, _BLOCK_BYTES // (16 * (l if points is None else l + s) * s))
-    buf = np.zeros((min(step, count), g, s, s), dtype=complex)
-    for k0 in range(0, count, step):
-        k = np.arange(k0, min(k0 + step, count))
-        z = np.exp(2j * np.pi * (k if points is None else points[k]) / grid)
-        classes: dict = {}
-        for n, vals in values:
-            classes.setdefault(n % l, []).append((n, vals * z[:, None] ** ((cols + n) // l)))
-        block = buf[:len(z)]
-        for j in range(first, levels) if points is None else [first + k // per]:
-            for r, parts in classes.items():
-                block[:, cb, rows[r], cc] = sum(weights[n][j - first][..., None] * smp
-                                                for n, smp in parts)
-            yield j, block if points is None else block[k - k0, k % g]
+    cols = np.arange(l).reshape(s, g).T  # row c: the columns of block c
+    classes: dict = {}  # n mod l: (the row of each column, the labels' terms)
+    for n in labels:
+        weights = np.array([n ** j for j in range(first, first + len(points))], dtype=complex)
+        terms = classes.setdefault(n % l, ((cols + n) % l // g, []))[1]
+        terms.append((weights, np.asarray(values[n], dtype=complex)[None, cols], (cols + n) // l))
+    per, points = points.shape[1], points.reshape(-1, g)  # a group: one index per block
+    step = max(1, _BLOCK_BYTES // (32 * l * s))
+    buf = np.zeros((min(step, len(points)), g, s, s), dtype=complex)
+    blocks, cc = np.arange(g)[:, None], np.arange(s)
+    for p0 in range(0, len(points), step):
+        k = points[p0:p0 + step]
+        r = np.arange(p0, p0 + len(k)) * g // per  # the level of each group
+        if (k == k[:, :1]).all():  # one index for all g blocks, as repeat(g) gives
+            k = k[:, :1]  # so z once per grid point
+        z = np.exp(2j * np.pi * k / grid)[..., None]
+        stack = buf[:len(k)]  # slot c of a group is always block c: no stale entries
+        for rows, terms in classes.values():
+            stack[:, blocks, rows, cc] = sum(w[r, None, None] * (vals * z ** pw)
+                                             for w, vals, pw in terms)
+        yield stack.reshape(-1, s, s)
 
 
 def _top_singular(blocks, gram):
@@ -455,22 +448,12 @@ def _phase_points(l: int, labels, values: dict, levels: range, grid: int):
     return (t % m * inv % m).reshape(len(levels), -1)
 
 
-def _raise_top(top, blocks):
-    """Raise top[j] to the largest top singular value of each (j, block) that
-    `blocks` yields (see _top_singular): the maximum over the whole grid."""
-    gram = None
-    for j, block in blocks:
-        if gram is None:
-            gram = _numpy().empty_like(block)
-        top[j] = max(top[j], float(_top_singular(block, gram).max()))
-
-
-def _point_tops(a: BDElement, grid: int, first: int, levels: int, values: dict, points):
+def _point_tops(a: BDElement, grid: int, first: int, values: dict, points):
     """The top singular value of each (level, grid index) matrix of `points`
     (see _symbol_blocks), as an array shaped like `points`."""
     np = _numpy()
     gram, out = None, []
-    for _, stack in _symbol_blocks(a, grid, levels, first, values, points):
+    for stack in _symbol_blocks(a, grid, first, values, points):
         if gram is None:
             gram = np.empty_like(stack)
         out.append(_top_singular(stack, gram))
@@ -537,26 +520,21 @@ def _uncovered(a: BDElement, grid: int, j: int, values: dict, lam: float, rest):
 def _seeded_tops(a: BDElement, grid: int, first: int, levels: int, values: dict):
     """The grid maxima of levels first..levels - 1 of a sampling with three or
     more labels, from every _SEED_STEP-th point, the points around each level's
-    best one, and the points that _uncovered cannot prove lower.  1 x 1 blocks
-    take the whole grid: their modulus costs less than the certificate."""
+    best one, and the points that _uncovered cannot prove lower."""
     np = _numpy()
     g = _cosets(a.period, [n for n in a.coeffs if n or not first])[0]
-    if g == a.period:
-        top = np.zeros(levels)
-        _raise_top(top, _symbol_blocks(a, grid, levels, first, values))
-        return top[first:]
     seed = np.arange(0, grid, _SEED_STEP).repeat(g)  # the p-th for block p mod g
-    seen = _point_tops(a, grid, first, levels, values, np.tile(seed, (levels - first, 1)))
+    seen = _point_tops(a, grid, first, values, np.tile(seed, (levels - first, 1)))
     best = seed[seen.argmax(axis=1)]
     near = (best[:, None] + np.r_[1 - _SEED_STEP:0, 1:_SEED_STEP]) % grid
-    near_tops = _point_tops(a, grid, first, levels, values, near.repeat(g, axis=1))
+    near_tops = _point_tops(a, grid, first, values, near.repeat(g, axis=1))
     top = np.maximum(seen.max(axis=1), near_tops.max(axis=1))
     for r, j in enumerate(range(first, levels)):
         rest = np.ones(grid, dtype=bool)
         rest[seed] = rest[near[r]] = False
         rest = _uncovered(a, grid, j, values, top[r] ** 2, np.flatnonzero(rest)).repeat(g)
         if rest.size:
-            top[r] = max(top[r], _point_tops(a, grid, j, j + 1, values, rest[None]).max())
+            top[r] = max(top[r], _point_tops(a, grid, j, values, rest[None]).max())
     return top
 
 
@@ -572,7 +550,8 @@ def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> 
     split into the blocks the other labels allow, another.  Both share
     `values`, a's values from _complex_values.  One label is read at k = 0,
     two at the points of _phase_points, and three or more at those of
-    _seeded_tops, each with the maximum over the whole grid (see the module).
+    _seeded_tops, each with the maximum over the whole grid (see the module);
+    _symbol_blocks builds only the blocks at those points.
     """
     if values is None:
         values = _complex_values(a)
@@ -592,7 +571,7 @@ def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> 
         else:
             top[first:levels] = _seeded_tops(a, eff, first, levels, values)
             continue
-        top[first:levels] = _point_tops(a, eff, first, levels, values, points).max(axis=1)
+        top[first:levels] = _point_tops(a, eff, first, values, points).max(axis=1)
     return [(Fraction(t), "grid-estimate", eff) for t in top.tolist()]
 
 
@@ -606,8 +585,9 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     with three or more labels at every 8th grid point, around the best one,
     and where a Schur-complement Cholesky certificate cannot prove the rest
     lower.  The value is still the maximum over all eff grid points (bit for
-    bit with three or more labels), so kind, grid and window keep their
-    meaning.  a's values are converted to complex numbers once, window too.
+    bit with three or more labels, as each block is sampled alone), so kind,
+    grid and window keep their meaning.  a's values are converted to complex
+    numbers once, window too.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the
@@ -681,7 +661,8 @@ def spectrum_sample(a: BDElement, grid: int = 256) -> list:
     cycles = [(np.arange(h) + j * n0) % g for j in range(k)]
     turns = np.exp(2j * np.pi * np.arange(k) / k)[:, None]
     points = []
-    for _, block in _symbol_blocks(a, grid, 1):
+    for stack in _symbol_blocks(a, grid, 0, _complex_values(a), np.arange(grid).repeat(g)[None]):
+        block = stack.reshape(-1, g, s, s)
         scale = np.abs(block).max(axis=(2, 3))
         scale[scale == 0] = 1
         unit = block / scale[:, :, None, None]

@@ -45,7 +45,7 @@ def test_c01_covariance_relation():
 def test_c02_mnorm_identity():
     rep = _run_suite("mnorm")
     _report(2, "M-norm binomial = recursive, bit for bit, M <= 6",
-            rep.passed and rep.cases_run == 100 and rep.duration_s < 30.0,
+            rep.passed and rep.cases_run == 101 and rep.duration_s < 30.0,
             f"({rep.cases_passed}/{rep.cases_run} in {rep.duration_s:.2f}s)")
 
 

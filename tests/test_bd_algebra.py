@@ -9,7 +9,7 @@ import pytest
 from bdalg import (BDElement, Cyclo, INF, LocConstFn, SupernaturalNumber,
                    character, operator_norm, root_of_unity, spectrum_sample)
 from bdalg import bd_algebra
-from bdalg.verify import rand_bd
+from bdalg.verify import _TWO_PEAKS, _grid_top, rand_bd
 
 from oracles import (apply_to_basis, columns_equal, compose_on_basis, entry, sup_norm, symbol,
                      symbol_product, symbol_star, symbol_sum)
@@ -327,17 +327,17 @@ def test_two_label_corpus_covers_the_cases():
 def _levels_off_the_full_grid(corpus: list, grid: int, labels: tuple, rel: float = 1e-14) -> tuple:
     """(levels checked, levels off): every norm level j <= 6 of the corpus
     sampled with a number of labels in `labels`, against the maximum over
-    every grid point (_raise_top without points), within `rel` relative."""
+    every grid point (_grid_top), within `rel` relative."""
     checked = off = 0
     for a in corpus:
-        parts = bd_algebra._base_norms(a, 6, grid)
+        values = bd_algebra._complex_values(a)
+        parts = bd_algebra._base_norms(a, 6, grid, values)
         for j, (value, kind, eff) in enumerate(parts):
             if sum(1 for n in a.coeffs if n or not j) not in labels:
                 continue
-            full = [0.0] * (j + 1)
-            bd_algebra._raise_top(full, bd_algebra._symbol_blocks(a, eff, j + 1, j))
+            full = _grid_top(a, eff, j, values)
             assert (kind, eff) == ("grid-estimate", max(grid, 2 * bd_algebra._max_power(a) + 1))
-            off += not abs(float(value) - full[j]) <= rel * full[j]
+            off += not abs(float(value) - full) <= rel * full
             checked += 1
     return checked, off
 
@@ -372,13 +372,6 @@ def test_one_label_levels_reach_the_full_grid_maximum(grid):
 
 
 THREE_LABEL_CORPUS = _label_corpus(73, 3)
-# level 1 (labels -5, 2, 6: one 2 x 2 block) peaks twice, and the seed and
-# its neighbours find the lower peak only
-TWO_PEAKS = BDElement(S, {
-    -5: LocConstFn([Fraction(-5, 2), 3 * root_of_unity(7, 12)]),
-    0: LocConstFn([Fraction(2, 3) * root_of_unity(11, 12), Fraction(1, 2) * root_of_unity(1, 12)]),
-    2: LocConstFn([-2, Fraction(5, 3) * root_of_unity(7, 12)]),
-    6: LocConstFn([Fraction(-3, 4), Fraction(1, 2) * root_of_unity(1, 12)])})
 
 
 def test_three_label_corpus_covers_the_cases():
@@ -403,7 +396,7 @@ def test_three_label_levels_reach_the_full_grid_maximum(grid):
     # a level with three or more labels is decomposed at the seed points, at
     # the neighbours of its best one and wherever the certificate fails; its
     # value is the maximum over every grid point, bit for bit, at each m
-    corpus = THREE_LABEL_CORPUS + [TWO_PEAKS]
+    corpus = THREE_LABEL_CORPUS + [_TWO_PEAKS]
     checked, off = _levels_off_the_full_grid(corpus, grid, (3, 4), rel=0)
     assert checked > 200 and off == 0
     for a in corpus[::4]:
@@ -412,33 +405,32 @@ def test_three_label_levels_reach_the_full_grid_maximum(grid):
 
 
 def test_a_missed_peak_is_decomposed(monkeypatch):
-    # level 1 of TWO_PEAKS: 32 seed points, the 14 around the best one, and
+    # level 1 of _TWO_PEAKS: 32 seed points, the 14 around the best one, and
     # the 12 around the higher peak that the certificate cannot rule out;
     # level 2 shares the seed and neighbour calls and needs 2 more, 106
     # matrices where the whole grid takes 2 * 256 (level 0, with four
     # labels, is its own sampling and makes the first two calls)
-    full = [0.0] * 3
-    bd_algebra._raise_top(full, bd_algebra._symbol_blocks(TWO_PEAKS, 256, 3, 1))
+    values = bd_algebra._complex_values(_TWO_PEAKS)
+    full = [_grid_top(_TWO_PEAKS, 256, j, values) for j in (1, 2)]
     shapes = _record_linalg_shapes(monkeypatch)
-    parts = bd_algebra._base_norms(TWO_PEAKS, 2, 256)
-    assert [float(p[0]) for p in parts[1:]] == full[1:]
+    parts = bd_algebra._base_norms(_TWO_PEAKS, 2, 256)
+    assert [float(p[0]) for p in parts[1:]] == full
     grams = [shape for name, shape in shapes if name == "eigvalsh" and len(shape) == 3]
     assert grams[2:] == [(2 * 32, 2, 2), (2 * 14, 2, 2), (12, 2, 2), (2, 2, 2)]
 
 
 def test_three_label_norm_decomposes_few_points(monkeypatch):
     # labels (-3, 0, 1) at l = 48 with unit values, as the benchmark draws
-    # them: level 0 is one 48 x 48 block, decomposed at the 32 seed points,
-    # in steps whose buffer and stack share _BLOCK_BYTES, and at the 14 around
-    # the best one; the certificate rules out the other 210 with one 4 x 4
+    # them: level 0 is one 48 x 48 block, decomposed at the 32 seed points, in
+    # steps whose blocks and Gram matrices share _BLOCK_BYTES, and at the 14
+    # around the best one; the certificate rules out the other 210 with one 4 x 4
     # Cholesky each (r = 4: columns 0, 1, 2 and 47 carry two powers of z)
     a = BDElement(S, {-3: LocConstFn([root_of_unity(i * i, 12) for i in range(48)]),
                       0: LocConstFn([root_of_unity(2 * i, 12) * (1 + i % 3) for i in range(48)]),
                       1: LocConstFn([root_of_unity(i ** 3 + 2, 12) for i in range(48)])})
-    full = [0.0]
-    bd_algebra._raise_top(full, bd_algebra._symbol_blocks(a, 256, 1))
+    full = _grid_top(a, 256, 0, bd_algebra._complex_values(a))
     shapes = _record_linalg_shapes(monkeypatch)
-    assert float(bd_algebra._base_norms(a, 0, 256)[0][0]) == full[0]
+    assert float(bd_algebra._base_norms(a, 0, 256)[0][0]) == full
     assert sum(shape[0] for name, shape in shapes if name == "eigvalsh") <= 64
     assert shapes == [("eigvalsh", (14, 48, 48)), ("eigvalsh", (14, 48, 48)),
                       ("eigvalsh", (4, 48, 48)), ("eigvalsh", (14, 48, 48)),
@@ -453,13 +445,42 @@ def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatc
     # built); those two labels are sampled at two points per block, and both
     # levels go to eigvalsh as one stack
     a = BDElement(S, {-3: _big(12, 1), 0: character(12, 5), 1: _big(12, 2, 7)})
-    levels = [(j, b.shape) for j, b in bd_algebra._symbol_blocks(a, 16, 3, first=1)]
-    assert levels == [(1, (16, 4, 3, 3)), (2, (16, 4, 3, 3))]
+    whole = np.tile(np.arange(16).repeat(4), (2, 1))  # levels 1 and 2, four blocks a point
+    stacks = [b.shape for b in bd_algebra._symbol_blocks(a, 16, 1, bd_algebra._complex_values(a),
+                                                         whole)]
+    assert stacks == [(2 * 16 * 4, 3, 3)]
     shapes = _record_linalg_shapes(monkeypatch)
     monkeypatch.setattr(BDElement, "delta_label", None)
     operator_norm(a, m=2, grid=16)
     assert shapes == [("eigvalsh", (2, 12, 12)), ("eigvalsh", (14, 12, 12)),
                       ("eigvalsh", (2 * 2 * 4, 3, 3))]
+
+
+def _sampled(a: BDElement, grid: int, first: int, points) -> np.ndarray:
+    values = bd_algebra._complex_values(a)
+    stacks = [stack.copy() for stack in bd_algebra._symbol_blocks(a, grid, first, values, points)]
+    s = a.period // bd_algebra._cosets(a.period, [n for n in a.coeffs if n or not first])[0]
+    assert all(stack.ndim == 3 and stack.shape[1:] == (s, s) for stack in stacks)
+    return np.concatenate(stacks)
+
+
+@pytest.mark.parametrize("grid", [16, 1000])
+def test_each_sampled_block_is_the_same_wherever_it_is_asked_for(grid):
+    # a matrix does not depend on the other (level, index, block) triples of
+    # its call: the values of every norm level and of the full-grid reference
+    # rest on it; one to four labels, periods 1 to 12, a lone 1 x 1 matrix too
+    rng = np.random.default_rng(grid)
+    for a in ONE_LABEL_CORPUS + TWO_LABEL_CORPUS + THREE_LABEL_CORPUS[::2]:
+        for first in (0, 1):
+            g = bd_algebra._cosets(a.period, [n for n in a.coeffs if n or not first])[0]
+            whole = _sampled(a, grid, first, np.tile(np.arange(grid).repeat(g), (3, 1)))
+            whole = whole.reshape(3, grid, g, *whole.shape[1:])
+            for rows, per in ((3, 2 * g), (1, g), (2, 5 * g)):
+                points = rng.integers(0, grid, (rows, per))
+                want = whole[np.arange(rows)[:, None], points, np.arange(per) % g]
+                got = _sampled(a, grid, first, points)
+                assert got.shape == (rows * per, *want.shape[2:])
+                assert got.tobytes() == want.tobytes()
 
 
 def test_each_value_is_converted_once_per_norm(monkeypatch):

@@ -47,7 +47,7 @@ def test_reports_deterministic_under_seed():
     assert (a.cases_run, a.cases_passed, a.first_counterexample) == \
         (b.cases_run, b.cases_passed, b.first_counterexample)
     c = SUITES["mnorm"](4, "small")
-    assert c.passed and c.cases_run == 10
+    assert c.passed and c.cases_run == 11
 
 
 def test_every_suite_refuses_an_unknown_scale():
@@ -62,7 +62,7 @@ def test_cases_run_pinned_at_seed_7_small():
     assert [r.suite for r in reports] == [
         "covariance", "mnorm", "cocycle", "covariant-roundtrip", "charpick",
         "consistency", "kernel-image", "rho-onto", "k0", "ext"]
-    assert [r.cases_run for r in reports] == [50, 10, 50, 20, 20, 31975, 100, 47, 87, 89]
+    assert [r.cases_run for r in reports] == [50, 11, 50, 20, 20, 31975, 100, 47, 87, 89]
     assert all(r.passed and r.seed == 7 and r.scale == "small" for r in reports)
 
 
