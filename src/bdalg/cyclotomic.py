@@ -121,7 +121,7 @@ _MAX_PRECISION = 10_000
 # basis at a prime order p.
 _MAX_ORDER = 10 ** 6
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def _order(n) -> int:
@@ -136,7 +136,9 @@ def _order(n) -> int:
 class Cyclo(_Frozen):
     """A number in Q(zeta_order) on the root-of-unity basis.
 
-    ``terms`` maps exponents in [0, order) to nonzero rational coefficients.  The
+    ``terms`` maps exponents in [0, order) to nonzero exact rational
+    coefficients, ints or Fractions; _rational reads every integral one as an
+    int, so that units and integer values multiply as Python ints.  The
     constructor takes a mapping or (exponent, coefficient) pairs and sums the
     coefficients of exponents equal mod the order.  Equal values may have
     different ``order`` and ``terms``; ``==``, ``hash`` and ``to_json`` read the
@@ -192,9 +194,10 @@ class Cyclo(_Frozen):
         return not self._form()[1]
 
     def as_rational(self):
-        """The value as a Fraction if it is rational, else None."""
+        """The value as an exact rational (an int or a Fraction) if it is rational,
+        else None."""
         n, terms = self._form()
-        return terms.get(0, Fraction(0)) if n == 1 else None
+        return terms.get(0, 0) if n == 1 else None
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -275,19 +278,20 @@ class Cyclo(_Frozen):
     def inverse(self) -> "Cyclo":
         """1/x: the product of the conjugates zeta^e -> zeta^(a*e), 1 < a < N
         coprime to N, divided by the rational norm.  x is taken on the raw or
-        the canonical terms, whichever are fewer, at their order N."""
+        the canonical terms, whichever are fewer, at their order N.  Both
+        divisions start from Fraction(1), since 1 / c of ints is a float."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         n, x = min((self.order, self.terms), self._form(), key=lambda f: len(f[1]))
         if len(x) == 1:
             (e, c), = x.items()
-            return Cyclo._raw(n, {(-e) % n: 1 / c})
+            return Cyclo._raw(n, {(-e) % n: _rational(Fraction(1) / c, "coefficient")})
         others = Cyclo.one()
         for a in range(2, n):
             if math.gcd(a, n) == 1:
                 p = others * Cyclo._raw(n, {a * e % n: c for e, c in x.items()})
                 others = Cyclo._raw(*_normal(p.order, p.terms))
-        return others * (1 / (self * others).as_rational())
+        return others * (Fraction(1) / (self * others).as_rational())
 
     def __truediv__(self, other):
         try:

@@ -33,6 +33,15 @@ class LocConstFn(_Frozen):
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    def _raw(cls, values: tuple) -> "LocConstFn":
+        """Trusted constructor: `values` a nonempty tuple of Cyclo values, as the
+        operations here build them; nothing is checked or converted."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "period", len(values))
+        object.__setattr__(self, "values", values)
+        return self
+
+    @classmethod
     def constant(cls, c, period: int = 1) -> "LocConstFn":
         return cls([_as_cyclo(c)] * period)
 
@@ -61,12 +70,12 @@ class LocConstFn(_Frozen):
             raise ValueError(f"{l} is not a multiple of the period {self.period}")
         if l == self.period:
             return self
-        return LocConstFn([self.values[k % self.period] for k in range(l)])
+        return LocConstFn._raw(self.values * (l // self.period))
 
     def pullback(self, m: int) -> "LocConstFn":
         """Composition with the m-th power of the odometer shift: k -> k + m."""
-        return LocConstFn([self.values[(k + m) % self.period]
-                           for k in range(self.period)])
+        m %= self.period
+        return LocConstFn._raw(self.values[m:] + self.values[:m])
 
     # -- integral and transform -------------------------------------------------
 
@@ -98,28 +107,28 @@ class LocConstFn(_Frozen):
         if not isinstance(other, LocConstFn):
             other = LocConstFn.constant(other)
         a, b = self._pair(other)
-        return LocConstFn([x + y for x, y in zip(a.values, b.values)])
+        return LocConstFn._raw(tuple(x + y for x, y in zip(a.values, b.values)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LocConstFn([-v for v in self.values])
+        return LocConstFn._raw(tuple(-v for v in self.values))
 
     def __mul__(self, other):
         if not isinstance(other, LocConstFn):
             return self.scale(other)
         a, b = self._pair(other)
-        return LocConstFn([x * y for x, y in zip(a.values, b.values)])
+        return LocConstFn._raw(tuple(x * y for x, y in zip(a.values, b.values)))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LocConstFn":
         c = _as_cyclo(c)
-        return LocConstFn([v * c for v in self.values])
+        return LocConstFn._raw(tuple(v * c for v in self.values))
 
     def conj(self) -> "LocConstFn":
-        return LocConstFn([v.conj() for v in self.values])
+        return LocConstFn._raw(tuple(v.conj() for v in self.values))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)

@@ -7,8 +7,9 @@ package touches finitely many divisors at a time, so this restriction costs
 nothing while keeping arithmetic exact.
 
 Every layer checks its scalars with the two readers here, _int (a plain int)
-and _rational (an int, Fraction or "p/q" string, as a Fraction); both refuse
-bool and float with ValueError.  _Frozen is the base of the value classes.
+and _rational (an int, Fraction or "p/q" string, as an int when integral, else
+a Fraction); both refuse bool and float with ValueError.  _Frozen is the base
+of the value classes.
 """
 from __future__ import annotations
 
@@ -28,17 +29,20 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _rational(x, what: str) -> Fraction:
-    """x as a Fraction: an int, a Fraction or a string such as "p/q", "0.5" or "1e-3"
-    (|exponent| <= _MAX_EXPONENT).  ValueError for anything else, bool and float included."""
-    if x.__class__ is Fraction:
+def _rational(x, what: str) -> int | Fraction:
+    """x as an exact rational, an int when integral, else a Fraction: x is an int,
+    a Fraction or a string such as "p/q", "0.5" or "1e-3" (|exponent| <=
+    _MAX_EXPONENT).  ValueError for anything else, bool and float included."""
+    if x.__class__ is int:
         return x
-    if x.__class__ is int or x.__class__ is str:
+    if x.__class__ is str:
         try:
-            if x.__class__ is int or abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
-                return Fraction(x)
+            if abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+                x = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+    if x.__class__ is Fraction:
+        return x.numerator if x.denominator == 1 else x
     raise ValueError(f"{what} is not an exact rational: {x!r}")
 
 

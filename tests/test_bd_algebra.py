@@ -438,6 +438,34 @@ def test_three_label_norm_decomposes_few_points(monkeypatch):
                       ("solve", (1, 44, 44)), ("cholesky", (210, 1, 4, 4))]
 
 
+@pytest.mark.parametrize("l, labels", [(2, (-3, 1, 3)), (1, (-2, 1, 3))])
+def test_three_label_levels_with_1x1_blocks_read_the_whole_grid(l, labels, monkeypatch):
+    # g = l at every level: the moduli at all 256 points are one _point_tops
+    # call, with no seed points, no certificate and no linear algebra
+    a = BDElement(S, {n: LocConstFn([root_of_unity(n * i + 1, 6) * (i + n % 4 + 1)
+                                     for i in range(l)]) for n in labels})
+    values = bd_algebra._complex_values(a)
+    full = [_grid_top(a, 256, j, values) for j in range(3)]
+    shapes = _record_linalg_shapes(monkeypatch)
+    assert [float(p[0]) for p in bd_algebra._base_norms(a, 2, 256)] == full
+    operator_norm(a, m=2)
+    assert shapes == []
+
+
+def test_one_term_norms_are_their_window(monkeypatch):
+    # U^n M_f has the norm (1 + |n|)^m sup |f|, the one point of its window:
+    # nothing is sampled, and kind, grid and value are those of the sampling
+    monkeypatch.setattr(bd_algebra, "_base_norms", None)
+    for a, m in [(BDElement(S, {-3: _big(12, 1)}), 4), (BDElement(S, {2: CHI2}), 0),
+                 (BDElement(S, {40: LocConstFn([3, -1])}), 1)]:
+        rep = operator_norm(a, m=m, grid=16)
+        want = (1 + abs(a.support[0])) ** m * max(abs(v) for v in a.coeffs[a.support[0]].values)
+        assert (rep.value, rep.kind, rep.window) == (want, "grid-estimate", (want, want))
+        assert rep.grid == max(16, 2 * bd_algebra._max_power(a) + 1)
+    with pytest.raises(ValueError, match="exceeds"):  # the sampling limit still holds
+        operator_norm(BDElement(S, {1: _big(48, 1)}), m=64, grid=10 ** 6)
+
+
 def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatch):
     # labels (-3, 0, 1) at l = 12: level 0 is one 12 x 12 block, seeded at 2
     # and then 14 of the 16 points, the later levels four 3 x 3 blocks,

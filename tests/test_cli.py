@@ -566,7 +566,10 @@ def test_numpy_loads_only_for_the_numeric_verbs():
     exact = [(g, v, *a) for g, v, a in ALL_VERBS if (g, v) not in {
         ("bd", "norm"), ("bd", "spectrum")}]
     assert "numpy" not in modules_after(*exact)
-    assert "numpy" in modules_after(("bd", "norm", "--a", BDE))
+    # a one-term norm is the one point of its window, so nothing is sampled
+    assert "numpy" not in modules_after(("bd", "norm", "--a", BDE, "--m", "2"))
+    two = '{"S":[[2,"inf"]],"period":2,"coeffs":{"0":' + FN2 + ',"1":' + FN2 + '}}'
+    assert "numpy" in modules_after(("bd", "norm", "--a", two))
 
 
 def test_every_exported_name_resolves():

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdalg import Cyclo, cyclotomic_polynomial, root_of_unity
+from bdalg import Cyclo, LocConstFn, cyclotomic_polynomial, root_of_unity
+from bdalg.cyclotomic import _sum
+from bdalg.supernatural import _rational
 from oracles import cyclo_equal
 
 
@@ -98,6 +100,78 @@ def test_zero_test_matches_numerics(a):
         assert abs(a.to_complex()) < 1e-9
     else:
         assert abs(a.to_complex()) > 1e-12
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, 3), ("6/3", 2), ("-4/1", -4), ("1e0", 1), ("-25e-1", Fraction(-5, 2)),
+    (Fraction(8, 4), 2), (Fraction(1, 3), Fraction(1, 3)), ("0.5", Fraction(1, 2))])
+def test_rational_reads_integral_values_as_ints(x, want):
+    got = _rational(x, "value")
+    assert got == want and got.__class__ is want.__class__
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0, 0.5, "1.5.2", "1e4301", None])
+def test_rational_refuses_inexact_values(x):
+    with pytest.raises(ValueError):
+        _rational(x, "value")
+
+
+def test_inverse_divides_exactly():
+    # int / int would be a float: both divisions in inverse start from Fraction(1)
+    assert Cyclo(4, {1: 2}).inverse().terms == {3: Fraction(1, 2)}
+    assert Cyclo(3, {0: 2, 1: 3}).inverse().terms == {1: Fraction(-2, 7), 2: Fraction(1, 7)}
+    assert root_of_unity(1, 5).inverse().terms[4].__class__ is int
+
+
+@st.composite
+def spelled_values(draw):
+    """(x, y): one value with coefficients spelled as ints, "p/q" and "n/1"
+    strings, "ne0" decimals or Fractions, and again at a multiple of its order
+    with spellings drawn afresh; distinct exponents, so that each term is a
+    coefficient as read."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    coeffs = draw(st.dictionaries(st.integers(0, order - 1),
+                                  st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                                  max_size=3))
+
+    def spell(q):
+        forms = [q, f"{2 * q.numerator}/{2 * q.denominator}"]
+        if q.denominator == 1:
+            forms += [q.numerator, f"{q.numerator}/1", f"{q.numerator}e0"]
+        return draw(st.sampled_from(forms))
+
+    k = draw(st.sampled_from([1, 2, 3]))
+    return (Cyclo(order, {e: spell(q) for e, q in coeffs.items()}),
+            Cyclo(order * k, [(e * k, spell(q)) for e, q in coeffs.items()]))
+
+
+def _integral_terms_are_ints(x: Cyclo) -> bool:
+    return all(c.__class__ is int for c in x.terms.values() if c.denominator == 1)
+
+
+def _results(x: Cyclo, u: Cyclo) -> list:
+    out = [x + u, x - u, u - x, x * u, -x, x.conj(), x * 3, x * Fraction(2, 3),
+           _sum([(2, 1, x), (Fraction(1, 3), 0, u), (-1, 5, x)], 6)]
+    if not u.is_zero():
+        out += [u.inverse(), x / u]
+    f = LocConstFn([x, u, x * u])
+    return out + [f.haar_integral(), *f.char_coefficients().values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spelled_values(), spelled_values())
+def test_scalars_stay_exact_whatever_their_spelling(xy, uv):
+    (x, y), (u, v) = xy, uv
+    assert all(map(_integral_terms_are_ints, (x, y, u, v)))
+    assert x == y and x.to_json() == y.to_json() and hash(x) == hash(y)
+    got, other = _results(x, u), _results(y, v)
+    for r in got + other:
+        for c in (*r.terms.values(), *r._form()[1].values()):
+            assert c.__class__ is int or c.__class__ is Fraction  # never float or bool
+        read = Cyclo.from_json(r.to_json())
+        assert _integral_terms_are_ints(read) and read == r
+    assert [r.to_json() for r in got] == [r.to_json() for r in other]
+    assert [hash(r) for r in got] == [hash(r) for r in other]
 
 
 def test_random_nonzero_values_numeric_gap():
