@@ -26,15 +26,14 @@ the largest eigenvalue of its Gram matrix, from LAPACK's eigvalsh
 
 With one label n the 1 x 1 blocks have modulus |n^j f_n(i)| at every point, so
 z = 1 does; operator_norm samples no level of a one-term element U^n M_f at
-all, as its window is the one point (1 + |n|)^M sup |f|.  With two labels each
+all, as |delta^j(a)| is exactly |n|^j sup |f|.  With two labels each
 block is, up to diagonal unitaries, one weighted s-cycle whose singular values
 depend on z only through one cycle phase psi_c, and peak where cos psi_c does
 (Wielandt's rho(A) <= rho(|A|), and the Floquet theory of periodic Jacobi
 matrices; see _phase_points): two points per block and level, in one eigvalsh
 call.  With three or more, every 8th point and the best one's neighbours are
 decomposed, and the rest where a Schur-complement Cholesky certificate cannot
-prove them lower (see _seeded_tops); 1 x 1 blocks are read at every point
-instead, as their moduli cost less than a seed.
+prove them lower (see _seeded_tops).
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
 window, into which they are clamped; only the diagonal case is exact.
@@ -530,13 +529,9 @@ def _uncovered(a: BDElement, grid: int, j: int, values: dict, lam: float, rest):
 def _seeded_tops(a: BDElement, grid: int, first: int, levels: int, values: dict):
     """The grid maxima of levels first..levels - 1 of a sampling with three or
     more labels, from every _SEED_STEP-th point, the points around each level's
-    best one, and the points that _uncovered cannot prove lower; with 1 x 1
-    blocks (g = l), from every point in one _point_tops call."""
+    best one, and the points that _uncovered cannot prove lower."""
     np = _numpy()
     g = _cosets(a.period, [n for n in a.coeffs if n or not first])[0]
-    if g == a.period:  # 1 x 1 blocks: their moduli at every point cost less than a seed
-        whole = np.tile(np.arange(grid).repeat(g), (levels - first, 1))
-        return _point_tops(a, grid, first, values, whole).max(axis=1)
     seed = np.arange(0, grid, _SEED_STEP).repeat(g)  # the p-th for block p mod g
     seen = _point_tops(a, grid, first, values, np.tile(seed, (levels - first, 1)))
     best = seed[seen.argmax(axis=1)]
@@ -564,8 +559,7 @@ def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> 
     split into the blocks the other labels allow, another.  Both share
     `values`, a's values from _complex_values.  One label is read at k = 0,
     two at the points of _phase_points, and three or more at those of
-    _seeded_tops (every point with 1 x 1 blocks), each with the maximum over
-    the whole grid (see the module);
+    _seeded_tops, each with the maximum over the whole grid (see the module);
     _symbol_blocks builds only the blocks at those points.
     """
     if values is None:
@@ -598,14 +592,13 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     One- and two-label samplings are decomposed where their blocks peak; one
     with three or more labels at every 8th grid point, around the best one,
     and where a Schur-complement Cholesky certificate cannot prove the rest
-    lower, or at every grid point when its blocks are 1 x 1.  The value is
-    still the maximum over all eff grid points (bit for bit with three or more
-    labels, as each block is sampled alone), so kind, grid and window keep
-    their meaning.  A one-term element U^n M_f, n != 0, is not sampled: its
-    window is the one point (1 + |n|)^m sup |f|, which any sampled value would
-    be clamped to, so its report reads the window (kind "grid-estimate", grid
-    eff, as when it was sampled).  a's values are converted to complex numbers
-    once, window too.
+    lower.  The value is still the maximum over all eff grid points (bit for
+    bit with three or more labels, as each block is sampled alone), so kind,
+    grid and window keep their meaning.  A one-term element U^n M_f, n != 0,
+    is not sampled: its base norms are the exact |n|^j sup |f|, and its window
+    is the one point (1 + |n|)^m sup |f| (kind "grid-estimate", grid eff, as
+    when it was sampled).  a's values are converted to complex numbers once,
+    window too.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the
@@ -624,9 +617,11 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
         raise ValueError(f"unknown method {method!r}")
     values = _complex_values(a)
     if len(a.coeffs) == 1 and 0 not in a.coeffs:
-        # U^n M_f: its window is the one point (1 + |n|)^m sup |f|, which every
-        # sampled value is clamped to, so its levels are left at 0, unsampled
-        parts = [(Fraction(0), "grid-estimate", _effective_grid(a, m, grid))] * (m + 1)
+        # U^n M_f: |delta^j(a)| = |n|^j sup |f| exactly, so nothing is sampled
+        (n, z), = values.items()
+        eff = _effective_grid(a, m, grid)
+        top = Fraction(max(map(abs, z)))
+        parts = [(abs(n) ** j * top, "grid-estimate", eff) for j in range(m + 1)]
     else:
         parts = _base_norms(a, m, grid, values)
     return _assemble_norm(parts, method, values)

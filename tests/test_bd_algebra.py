@@ -438,29 +438,23 @@ def test_three_label_norm_decomposes_few_points(monkeypatch):
                       ("solve", (1, 44, 44)), ("cholesky", (210, 1, 4, 4))]
 
 
-@pytest.mark.parametrize("l, labels", [(2, (-3, 1, 3)), (1, (-2, 1, 3))])
-def test_three_label_levels_with_1x1_blocks_read_the_whole_grid(l, labels, monkeypatch):
-    # g = l at every level: the moduli at all 256 points are one _point_tops
-    # call, with no seed points, no certificate and no linear algebra
-    a = BDElement(S, {n: LocConstFn([root_of_unity(n * i + 1, 6) * (i + n % 4 + 1)
-                                     for i in range(l)]) for n in labels})
-    values = bd_algebra._complex_values(a)
-    full = [_grid_top(a, 256, j, values) for j in range(3)]
-    shapes = _record_linalg_shapes(monkeypatch)
-    assert [float(p[0]) for p in bd_algebra._base_norms(a, 2, 256)] == full
-    operator_norm(a, m=2)
-    assert shapes == []
-
-
 def test_one_term_norms_are_their_window(monkeypatch):
-    # U^n M_f has the norm (1 + |n|)^m sup |f|, the one point of its window:
-    # nothing is sampled, and kind, grid and value are those of the sampling
+    # U^n M_f has the base norms |n|^j sup |f| and the norm (1 + |n|)^m sup |f|,
+    # the one point of its window: nothing is sampled, the bases are exact
+    # before any clamp, and kind, grid and value are those of the sampling
     monkeypatch.setattr(bd_algebra, "_base_norms", None)
+    assembled = []
+    assemble = bd_algebra._assemble_norm
+    monkeypatch.setattr(bd_algebra, "_assemble_norm",
+                        lambda parts, *args: assembled.append(parts) or assemble(parts, *args))
     for a, m in [(BDElement(S, {-3: _big(12, 1)}), 4), (BDElement(S, {2: CHI2}), 0),
                  (BDElement(S, {40: LocConstFn([3, -1])}), 1)]:
         rep = operator_norm(a, m=m, grid=16)
-        want = (1 + abs(a.support[0])) ** m * max(abs(v) for v in a.coeffs[a.support[0]].values)
+        n = a.support[0]
+        sup = max(abs(v) for v in a.coeffs[n].values)
+        want = (1 + abs(n)) ** m * sup
         assert (rep.value, rep.kind, rep.window) == (want, "grid-estimate", (want, want))
+        assert [float(p[0]) for p in assembled.pop()] == [abs(n) ** j * sup for j in range(m + 1)]
         assert rep.grid == max(16, 2 * bd_algebra._max_power(a) + 1)
     with pytest.raises(ValueError, match="exceeds"):  # the sampling limit still holds
         operator_norm(BDElement(S, {1: _big(48, 1)}), m=64, grid=10 ** 6)
