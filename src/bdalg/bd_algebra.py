@@ -7,7 +7,9 @@ M_f multiplies by a locally constant function f.  The single covariance rule
 
 drives the product, the adjoint, the matrix symbol over the circle and the
 norm estimation.  Every element carries one common period l for all its
-coefficients, which is also the size of its matrix symbol.
+coefficients, which is also the size of its matrix symbol.  Elements whose
+coefficients are constants, such as U^n and one(), have period 1 and multiply
+by scaling (LocConstFn.scale): a product with U^n is a relabeling and a pullback.
 
 Norms and spectra are evaluated straight from the coefficients: U^n M_f has
 the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
@@ -115,7 +117,7 @@ class BDElement(_Frozen):
     def fourier_coefficient(self, n: int) -> LocConstFn:
         """The coefficient f_n (the zero function if absent); n = 0 is the
         conditional expectation onto the diagonal."""
-        return self.coeffs.get(n, LocConstFn.zero(self.period))
+        return self.coeffs[n] if n in self.coeffs else LocConstFn.zero(self.period)
 
     # -- *-algebra operations -----------------------------------------------------
 

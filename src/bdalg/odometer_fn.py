@@ -43,7 +43,9 @@ class LocConstFn(_Frozen):
 
     @classmethod
     def constant(cls, c, period: int = 1) -> "LocConstFn":
-        return cls([_as_cyclo(c)] * period)
+        if _int(period, "period") < 1:
+            raise ValueError("a function needs at least one value")
+        return cls._raw((_as_cyclo(c),) * period)
 
     @classmethod
     def zero(cls, period: int = 1) -> "LocConstFn":
@@ -116,15 +118,24 @@ class LocConstFn(_Frozen):
         return LocConstFn._raw(tuple(-v for v in self.values))
 
     def __mul__(self, other):
+        """The pointwise product, at the lcm of the periods; a factor of period 1
+        is a constant and multiplies as a scalar (scale), with no pointwise product."""
         if not isinstance(other, LocConstFn):
             return self.scale(other)
+        if other.period == 1:
+            return self.scale(other.values[0])
+        if self.period == 1:
+            return other.scale(self.values[0])
         a, b = self._pair(other)
         return LocConstFn._raw(tuple(x * y for x, y in zip(a.values, b.values)))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LocConstFn":
+        """Every value times c; self itself when c is the rational 1 of order 1."""
         c = _as_cyclo(c)
+        if c.order == 1 and c.terms == {0: 1}:
+            return self
         return LocConstFn._raw(tuple(v * c for v in self.values))
 
     def conj(self) -> "LocConstFn":

@@ -143,12 +143,14 @@ _TWO_PEAKS = BDElement(_S23, {
 
 @_suite("covariance", "M_f U = U M_{f o beta}")
 def _covariance(rng, scale):
+    # U has period 1, so both sides scale; U at f's period takes the pointwise product
     u = BDElement.shift(_S23)
     for _ in range(_scaled(500, scale)):
         f = rand_fn(rng, rng.choice(_PERIODS_24))
         lhs = BDElement.mult_op(_S23, f) * u
         rhs = u * BDElement.mult_op(_S23, f.pullback(1))
-        yield lhs == rhs, lambda: {"f": f.to_json()}
+        generic = BDElement.mult_op(_S23, f) * u.with_period(f.period)
+        yield lhs == rhs == generic, lambda: {"f": f.to_json()}
 
 
 def _assemblies_agree(parts: list, values: dict) -> bool:

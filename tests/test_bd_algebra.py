@@ -53,6 +53,48 @@ def test_covariance_relation():
     assert BDElement.mult_op(S, F) * U == U * BDElement.mult_op(S, F.pullback(1))
 
 
+# c for the scalars c * 1: zero, the rational 1, 1 on other bases, rationals,
+# roots of unity and multi-term values
+SCALARS = (0, 1, root_of_unity(0, 3), Cyclo(4, {0: 1}), Fraction(-2, 3), 3,
+           root_of_unity(1, 4), root_of_unity(5, 12), root_of_unity(1, 3) + Fraction(1, 2),
+           Cyclo(12, {1: 2, 4: Fraction(-1, 3), 7: 1}))
+S_PERIODS = SupernaturalNumber.of({p: INF for p in (2, 3, 5, 7, 11)})
+
+
+def test_shifts_and_scalars_multiply_as_at_the_period_of_the_other_factor():
+    # a period-1 factor multiplies by scaling; given at a's period it takes the
+    # pointwise product, and the two products print the same bytes
+    rng = random.Random(53)
+    for _ in range(40):
+        a = rand_bd(rng, S_PERIODS, (rng.randint(1, 12),), max_n=4)
+        factors = [BDElement.shift(S_PERIODS, n) for n in range(-5, 6)]
+        factors += [BDElement(S_PERIODS, {0: LocConstFn.constant(c)}) for c in SCALARS]
+        for b in factors:
+            lifted = b.with_period(a.period)
+            assert b.period == 1 and lifted.period == a.period
+            for prod, generic in ((a * b, a * lifted), (b * a, lifted * a)):
+                assert json.dumps(prod.to_json()) == json.dumps(generic.to_json())
+
+
+def test_shift_products_make_no_cyclotomic_product(monkeypatch):
+    calls = []
+    mul = Cyclo.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counting)
+    f = LocConstFn([root_of_unity(1, 12), Fraction(-1, 2), Cyclo(6, {1: 2, 4: 1})])
+    mf = BDElement.mult_op(S, f)
+    assert mf * U == U * BDElement.mult_op(S, f.pullback(1))
+    assert U * mf == BDElement(S, {1: f})
+    assert f.scale(1) is f
+    assert calls == []
+    mf * U.with_period(3)  # the same product at f's period: one product per value
+    assert len(calls) == 3
+
+
 def test_product_is_associative_and_distributive():
     rng = random.Random(19)
     for _ in range(15):

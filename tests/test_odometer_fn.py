@@ -105,6 +105,23 @@ def test_pointwise_algebra():
     assert chi.conj() == character(4, -1)
 
 
+def test_a_period_one_factor_multiplies_as_a_scalar():
+    f = LocConstFn([1, root_of_unity(1, 3), Fraction(-2, 3)])
+    one = LocConstFn.constant(1)
+    assert f.scale(1) is f and f * one is f and one * f is f
+    three = LocConstFn.constant(3)
+    assert (f * three).values == (three * f).values == (f * LocConstFn.constant(3, 3)).values
+    # 1 spelled on another basis takes the pointwise product, with the same values
+    assert f.scale(root_of_unity(0, 3)) is not f
+    assert f.scale(root_of_unity(0, 3)) == f
+    # the product keeps the lcm of the periods, f's own
+    assert (LocConstFn.constant(root_of_unity(1, 4)) * f).period == 3
+    assert LocConstFn.constant(Fraction(1, 2), 4).values == (Cyclo.from_rational(Fraction(1, 2)),) * 4
+    for period in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            LocConstFn.constant(1, period)
+
+
 def test_serialization_roundtrip():
     f = LocConstFn([1, root_of_unity(1, 3), Fraction(-2, 3)])
     obj = f.to_json()

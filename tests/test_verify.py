@@ -1,12 +1,14 @@
 import inspect
 import json
 import random
+import textwrap
 
 import pytest
 
-from bdalg import DivisorChain, PhiFn, VerifyReport, homalg, run_suite, verify
+from bdalg import (BDElement, DivisorChain, LocConstFn, PhiFn, VerifyReport, homalg,
+                   odometer_fn, run_suite, verify)
 from bdalg.cli import main
-from bdalg.verify import SUITES, rand_phi
+from bdalg.verify import SUITES, rand_fn, rand_phi
 
 
 def test_report_invariants():
@@ -137,3 +139,26 @@ def test_ext_suite_catches_a_diagonal_that_drops_the_block_gcd(monkeypatch, caps
     assert main(["verify", "ext", "--scale", "small"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert not doc["passed"] and doc["cases_passed"] < doc["cases_run"] == 89
+
+
+def test_covariance_suite_catches_a_scalar_route_that_keeps_the_constant(monkeypatch, capsys):
+    # the mutant scales the period-1 operand instead of the other one, so a
+    # product with U returns a constant; M_f U and U M_(f o beta) both become
+    # U times the constant f(1), and only M_f U_l, the pointwise product, shows it
+    source = textwrap.dedent(inspect.getsource(LocConstFn.__mul__))
+    routes = ("return self.scale(other.values[0])", "return other.scale(self.values[0])")
+    assert all(source.count(r) == 1 for r in routes)
+    mutant = source.replace(routes[0], "SWAP").replace(routes[1], routes[0]).replace("SWAP", routes[1])
+    scope = dict(vars(odometer_fn))
+    exec(mutant, scope)
+    monkeypatch.setattr(LocConstFn, "__mul__", scope["__mul__"])
+    assert main(["verify", "covariance", "--scale", "small", "--seed", "7"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["passed"] and doc["cases_passed"] < doc["cases_run"] == 50
+    # the suite's check without M_f U_l passes every case under the mutant
+    rng = random.Random(7)
+    u = BDElement.shift(verify._S23)
+    for _ in range(50):
+        f = rand_fn(rng, rng.choice(verify._PERIODS_24))
+        mf = BDElement.mult_op(verify._S23, f)
+        assert mf * u == u * BDElement.mult_op(verify._S23, f.pullback(1))
