@@ -309,7 +309,7 @@ class Cyclo(_Frozen):
         back to a double; fewer than 1 or more than _MAX_PRECISION bits are
         refused.
         """
-        if precision < 1:
+        if _int(precision, "precision") < 1:
             raise ValueError("precision must be >= 1 bit")
         if precision > _MAX_PRECISION:
             raise ValueError(f"precision above {_MAX_PRECISION} bits")
@@ -388,6 +388,23 @@ def _sum(terms, order: int = 1) -> Cyclo:
             e, c = (e * q + s) % n, c if w == 1 else c * w
             out[e] = out[e] + c if e in out else c
     return Cyclo._raw(n, {e: c for e, c in out.items() if c})
+
+
+def _numerators(values) -> tuple:
+    """(n, d, [F_i]): value i is sum F_i[e]/d * zeta_n^e, with each value's _basis
+    lifted to the common order n (checked by _order), d the lcm of every
+    coefficient denominator and each F_i an int dict."""
+    bases = [x._basis() for x in values]
+    n = _order(math.lcm(*(m for m, _ in bases)))
+    d = math.lcm(*(c.denominator for _, xs in bases for c in xs.values()))
+    return n, d, [{e * (n // m): c.numerator * (d // c.denominator) for e, c in xs.items()}
+                  for m, xs in bases]
+
+
+def _from_numerators(n: int, num: dict, den: int) -> Cyclo:
+    """sum num[e]/den * zeta_n^e: an int where den divides num[e], else a Fraction."""
+    return Cyclo._raw(n, {e: x // den if x % den == 0 else Fraction(x, den)
+                          for e, x in num.items() if x})
 
 
 def root_of_unity(k: int, n: int) -> Cyclo:

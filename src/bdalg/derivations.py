@@ -6,10 +6,11 @@ A continuous derivation is determined by finite classification data
 
 with G mean zero (constants commute with everything, so the mean-zero
 normalization pins the inner part down uniquely).  This module applies such
-data, selects Fourier components, solves the cocycle equation G o beta - G = F
-exactly by a prefix sum, recovers the covariant F_n from the action on a single
-character, picks the character with the 3/2 spectral gap, and builds the
-truncated non-smooth commutator counterexamples.
+data, selects Fourier components, splits F into its mean C and G o beta - G
+by a prefix sum on integer numerators over one denominator, recovers the
+covariant F_n from the action on a single character, picks the character with
+the 3/2 spectral gap, and builds the truncated non-smooth commutator
+counterexamples.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .bd_algebra import BDElement, _label
-from .cyclotomic import Cyclo, _as_cyclo, _sum, root_of_unity
+from .cyclotomic import Cyclo, _as_cyclo, _from_numerators, _numerators, root_of_unity
 from .odometer_fn import LocConstFn, character
 from .supernatural import SupernaturalNumber, _Frozen, _int
 
@@ -88,38 +89,53 @@ class DerivationData(_Frozen):
                     for n, f in obj["covariant"].items()})
 
 
-def _cocycle(f: LocConstFn, c: Cyclo) -> LocConstFn:
-    """G mean zero with G o beta - G = f - c, c the mean of f, without forming
-    f - c: G(0) = (sum_{i<l-1} (i+1-l) f(i) + c l(l-1)/2) / l and G(j+1) =
-    G(j) + f(j) - c, each one _sum at the common order; JSON is canonical."""
-    l, vals = f.period, f.values[:-1]
-    g = [_sum([(i + 1 - l, 0, v) for i, v in enumerate(vals)] + [(l * (l - 1) // 2, 0, c)])
-         * Fraction(1, l)]
-    for v in vals:
-        g.append(_sum(((1, 0, g[-1]), (1, 0, v), (-1, 0, c))))
-    return LocConstFn(g)
+def _cocycle(f: LocConstFn):
+    """(C, G): C the mean of f and G mean zero with G o beta - G = f - C, in ints.
+
+    With f(i) = F_i/d at the common order n (_numerators) and S the sum of the
+    F_i: C = S/(dl), G(0) = (2 sum_{i<l-1} (i+1-l) F_i + (l-1) S)/(2dl) and
+    G(j+1) = G(j) + (2l F_j - 2S)/(2dl).  Each coefficient is divided once
+    (_from_numerators), and every value has order n.
+    """
+    l = f.period
+    n, d, nums = _numerators(f.values)
+    s: dict = {}
+    for num in nums:
+        for e, x in num.items():
+            s[e] = s[e] + x if e in s else x
+    g = {e: (l - 1) * x for e, x in s.items()}  # its keys, S's, hold every F_i's
+    for i, num in enumerate(nums[:-1]):
+        for e, x in num.items():
+            g[e] += 2 * (i + 1 - l) * x
+    out = [_from_numerators(n, g, 2 * d * l)]
+    for num in nums[:-1]:
+        g = {e: x - 2 * s[e] for e, x in g.items()}
+        for e, x in num.items():
+            g[e] += 2 * l * x
+        out.append(_from_numerators(n, g, 2 * d * l))
+    return _from_numerators(n, s, d * l), LocConstFn._raw(tuple(out))
 
 
 def solve_cocycle(ft: LocConstFn) -> LocConstFn:
     """Solve G o beta - G = ft with G mean zero; ft must have mean zero.
 
-    G(j) = ft(0) + ... + ft(j-1), minus its mean sum_i (l-1-i) ft(i) / l (see
-    _cocycle).  A nonzero mean of ft is the obstruction (G would not be
-    periodic), which must be split off first.
+    G(j) = ft(0) + ... + ft(j-1), minus its mean sum_i (l-1-i) ft(i) / l, on
+    integer numerators (_cocycle).  A nonzero mean of ft is the obstruction (G
+    would not be periodic), which must be split off first.
     """
-    if not ft.haar_integral().is_zero():
+    c, g = _cocycle(ft)
+    if not c.is_zero():
         raise ValueError("nonzero mean: split off the constant part first")
-    return _cocycle(ft, Cyclo.zero())
+    return g
 
 
 def decompose_invariant(f: LocConstFn):
     """Split F = C + (G o beta - G): returns (C, G) with C the Haar mean.
 
     The invariant derivation sending U to U M_F then equals
-    C * delta_label + [M_G, .] on generators; G comes from f and C (_cocycle).
+    C * delta_label + [M_G, .] on generators; one pass of _cocycle gives both.
     """
-    c = f.haar_integral()
-    return c, _cocycle(f, c)
+    return _cocycle(f)
 
 
 def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocConstFn:
@@ -171,7 +187,7 @@ def pick_character(n: int, S: SupernaturalNumber) -> CharacterPick:
     >>> pick.l, pick.j, round(pick.bound, 6)
     (24, 2, 1.732051)
     """
-    if n == 0:
+    if _int(n, "n") == 0:
         raise ValueError("n must be nonzero")
     g = S.gcd(abs(n))
     n_prime = abs(n) // g

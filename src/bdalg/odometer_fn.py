@@ -76,7 +76,7 @@ class LocConstFn(_Frozen):
 
     def pullback(self, m: int) -> "LocConstFn":
         """Composition with the m-th power of the odometer shift: k -> k + m."""
-        m %= self.period
+        m = _int(m, "shift") % self.period
         return LocConstFn._raw(self.values[m:] + self.values[:m])
 
     # -- integral and transform -------------------------------------------------
@@ -175,8 +175,9 @@ def character(l: int, k: int) -> LocConstFn:
 
     k = 0 gives the constant function 1.
     """
-    if l < 1:
+    if _int(l, "period") < 1:
         raise ValueError("period must be positive")
+    k = _int(k, "character index")
     return LocConstFn([root_of_unity(j * k, l) for j in range(l)])
 
 

@@ -25,7 +25,8 @@ from fractions import Fraction
 from .bd_algebra import (BDElement, _assemble_norm, _base_norms, _complex_values, _cosets,
                          _numpy, _point_tops)
 from .cyclotomic import Cyclo, root_of_unity
-from .derivations import DerivationData, pick_character, recover_covariant, solve_cocycle
+from .derivations import (DerivationData, decompose_invariant, pick_character,
+                          recover_covariant, solve_cocycle)
 from .homalg import FGAbelianGroup, IntMatrix, ext1_hom, smith_normal_form
 from .k_invariants import GSRational, PhiFn, k0_class, residue_projection
 from .odometer_fn import LocConstFn, character
@@ -203,8 +204,11 @@ def _cocycle(rng, scale):
         raw = rand_fn(rng, rng.choice(_PERIODS_24))
         ft = raw - LocConstFn.constant(raw.haar_integral(), raw.period)
         g = solve_cocycle(ft)
-        ok = (g.pullback(1) - g == ft) and g.haar_integral().is_zero()
-        yield ok, lambda: {"ft": ft.to_json()}
+        c, h = decompose_invariant(raw)
+        ok = (g.pullback(1) - g == ft and g.haar_integral().is_zero()
+              and c == raw.haar_integral() and h.pullback(1) - h == raw - c
+              and h.haar_integral().is_zero())
+        yield ok, lambda: {"ft": ft.to_json(), "f": raw.to_json()}
 
 
 @_suite("covariant-roundtrip", "F recovered exactly from [U^n M_F, .] applied to one character")

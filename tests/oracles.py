@@ -20,6 +20,9 @@ Delta_k / Delta_{k-1}, where Delta_k is the gcd of all k x k minors.
 
 The running sums R(l, l') of a phi function are pinned by their defining
 double sums over the values phi(l', j).
+
+The cocycle solver is pinned by the chain of Cyclo sums it replaced: G(0) and
+each step G(j+1) = G(j) + f(j) - c as one _sum of Fraction coefficients.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from bdalg import BDElement, Cyclo, cyclotomic_polynomial
+from bdalg import BDElement, Cyclo, LocConstFn, cyclotomic_polynomial
+from bdalg.cyclotomic import _sum
 
 
 def cyclo_equal(x: Cyclo, y: Cyclo) -> bool:
@@ -146,3 +150,14 @@ def r_sum(phi, l: int, lp: int, mode: str = "def") -> int:
     if mode == "def":
         return sum(phi.value(lp, j) for a in range(1, lp // l) for j in range(a * l))
     return sum((j + 1) * phi.value(lp, j) for j in range(lp - 1))
+
+
+def cocycle_reference(f: LocConstFn, c: Cyclo) -> LocConstFn:
+    """G mean zero with G o beta - G = f - c, c the mean of f: G(0) = (sum_{i<l-1}
+    (i+1-l) f(i) + c l(l-1)/2) / l and G(j+1) = G(j) + f(j) - c, each one _sum."""
+    l, vals = f.period, f.values[:-1]
+    g = [_sum([(i + 1 - l, 0, v) for i, v in enumerate(vals)] + [(l * (l - 1) // 2, 0, c)])
+         * Fraction(1, l)]
+    for v in vals:
+        g.append(_sum(((1, 0, g[-1]), (1, 0, v), (-1, 0, c))))
+    return LocConstFn(g)

@@ -324,6 +324,12 @@ def test_eval_refuses_huge_precision():
     assert elapsed < 20
 
 
+@pytest.mark.parametrize("precision", [True, 60.5, 53.0])
+def test_to_complex_refuses_a_precision_that_is_not_an_int(precision):
+    with pytest.raises(ValueError, match="non-integer precision"):
+        root_of_unity(1, 12).to_complex(precision)
+
+
 @pytest.mark.parametrize("order", [1000003, 1000000000000000003])
 def test_cli_refuses_orders_above_the_limit(order):
     # factorizing 10^18 + 3 by trial division would not finish

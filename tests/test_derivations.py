@@ -12,6 +12,7 @@ from bdalg import (BDElement, Cyclo, DerivationData, INF, LocConstFn,
                    nonsmooth_commutator, pick_character, recover_covariant,
                    root_of_unity, solve_cocycle, synthesize)
 from bdalg.verify import _CHARPICK_POOL, rand_bd, rand_fn
+from oracles import cocycle_reference
 
 S = SupernaturalNumber.of({2: INF, 3: INF})
 U = BDElement.shift(S)
@@ -151,6 +152,52 @@ def test_decompose_forms_no_difference_function(monkeypatch):
         assert json.dumps([c.to_json(), g.to_json()]) == doc
 
 
+_LARGE_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 1_000_003)
+
+
+def _oracle_value(rng, orders) -> Cyclo:
+    """One to three raw terms at one of orders, coefficients p/q with q up to 7
+    or, one value in ten, a large prime; one in nine is the unreduced zero
+    zeta_4^0 + zeta_4^2 or -q as zeta_3 + zeta_3^2, each with a shorter
+    canonical form.  A quarter of the values have theirs cached already."""
+    den = rng.choice(_LARGE_PRIMES) if rng.randrange(10) == 0 else rng.randint(1, 7)
+    q = Fraction(rng.randint(-9, 9) or 1, den)
+    if rng.randrange(9) == 0:
+        x = rng.choice((Cyclo(4, {0: 1, 2: 1}), Cyclo(3, {1: q, 2: q})))
+    else:
+        order = rng.choice(orders)
+        x = Cyclo(order, [(rng.randrange(order), q * rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 3))])
+    if rng.randrange(4) == 0:
+        x.to_json()
+    return x
+
+
+def _oracle_fn(rng, l: int) -> LocConstFn:
+    """Values at three orders drawn from 1-72, whose lcm with 12 (the orders of
+    the special values) is at most 3600."""
+    orders = rng.sample(range(1, 73), 3)
+    while math.lcm(12, *orders) > 3600:
+        orders = rng.sample(range(1, 73), 3)
+    return LocConstFn([_oracle_value(rng, orders) for _ in range(l)])
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 24, 72])
+def test_cocycle_kernel_matches_the_chain_of_sums(l):
+    rng = random.Random(1000 + l)
+    for _ in range(2 if l == 72 else 8):
+        f = _oracle_fn(rng, l)
+        c = f.haar_integral()
+        got, want = decompose_invariant(f), (c, cocycle_reference(f, c))
+        assert json.dumps([x.to_json() for x in got]) == json.dumps([x.to_json() for x in want])
+        ft = f - LocConstFn.constant(c, l)
+        g = solve_cocycle(ft)
+        assert json.dumps(g.to_json()) == json.dumps(cocycle_reference(ft, Cyclo.zero()).to_json())
+        # each coefficient is an int where it is integral, a Fraction otherwise
+        assert all(x.__class__ is int or x.denominator > 1 for v in (got[0],) + got[1].values
+                   + g.values for x in v.terms.values())
+
+
 def test_recover_covariant_roundtrip_example():
     chi4 = character(4, 1)
     d = DerivationData(0, LocConstFn.zero(), {2: chi4})
@@ -229,6 +276,13 @@ def test_pick_character_examples():
     assert abs(pick1.bound - math.sqrt(3)) < 1e-12
     val = root_of_unity(pick1.j, pick1.l).to_complex()
     assert abs(abs(1 - val) - math.sqrt(3)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_pick_character_refuses_n_that_is_not_an_int(n):
+    # True picked (2, 1, 2.0) as if it were 1; 2.0 raised TypeError from pow
+    with pytest.raises(ValueError, match="non-integer n"):
+        pick_character(n, S)
 
 
 def test_pick_character_error_path():

@@ -129,3 +129,18 @@ def test_serialization_roundtrip():
     assert LocConstFn.from_json(obj) == f
     with pytest.raises(ValueError):
         LocConstFn.from_json({"period": 2, "values": [Cyclo.one().to_json()]})
+
+
+@pytest.mark.parametrize("l, k, what", [(2.0, 1, "period"), (True, 0, "period"),
+                                        (3, 1.5, "character index"), (3, True, "character index")])
+def test_character_refuses_arguments_that_are_not_ints(l, k, what):
+    with pytest.raises(ValueError, match=f"non-integer {what}"):
+        character(l, k)
+
+
+@pytest.mark.parametrize("m", [True, 1.0])
+def test_pullback_refuses_a_shift_that_is_not_an_int(m):
+    # True shifted by 1 and 1.0 raised TypeError from the slice
+    with pytest.raises(ValueError, match="non-integer shift"):
+        character(3, 1).pullback(m)
+    assert character(3, 1).pullback(-2) == character(3, 1).pullback(1)

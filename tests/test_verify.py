@@ -5,8 +5,8 @@ import textwrap
 
 import pytest
 
-from bdalg import (BDElement, DivisorChain, LocConstFn, PhiFn, VerifyReport, homalg,
-                   odometer_fn, run_suite, verify)
+from bdalg import (BDElement, DivisorChain, LocConstFn, PhiFn, VerifyReport, derivations,
+                   homalg, odometer_fn, run_suite, verify)
 from bdalg.cli import main
 from bdalg.verify import SUITES, rand_fn, rand_phi
 
@@ -162,3 +162,25 @@ def test_covariance_suite_catches_a_scalar_route_that_keeps_the_constant(monkeyp
         f = rand_fn(rng, rng.choice(verify._PERIODS_24))
         mf = BDElement.mult_op(verify._S23, f)
         assert mf * u == u * BDElement.mult_op(verify._S23, f.pullback(1))
+
+
+def test_cocycle_suite_catches_a_kernel_that_drops_the_mean_step(monkeypatch, capsys):
+    # the mutant drops -2S from each step G(j+1) = G(j) + (2l F_j - 2S)/(2dl), so
+    # G o beta - G = f instead of f - C; a mean-zero ft whose numerators sum to
+    # zero cannot show it, and only the decomposition of f with C != 0 does
+    source = inspect.getsource(derivations._cocycle)
+    step = "g = {e: x - 2 * s[e] for e, x in g.items()}"
+    assert source.count(step) == 1
+    scope = dict(vars(derivations))
+    exec(source.replace(step, "g = dict(g)"), scope)
+    monkeypatch.setattr(derivations, "_cocycle", scope["_cocycle"])
+    assert main(["verify", "cocycle", "--scale", "small", "--seed", "7"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["passed"] and doc["cases_passed"] < doc["cases_run"] == 50
+    # the suite's check without the decomposition passes every case under the mutant
+    rng = random.Random(7)
+    for _ in range(50):
+        raw = rand_fn(rng, rng.choice(verify._PERIODS_24))
+        ft = raw - LocConstFn.constant(raw.haar_integral(), raw.period)
+        g = derivations.solve_cocycle(ft)
+        assert g.pullback(1) - g == ft and g.haar_integral().is_zero()
