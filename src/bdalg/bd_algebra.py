@@ -18,27 +18,27 @@ the exact symbol, as the blocks its labels allow: _symbol_blocks builds only
 the (level, grid point, block) matrices asked for, each alone, for norms and
 spectra alike, and the whole grid is one such request.  The exact symbol is
 plain data, l rows of l {power: Cyclo} dicts, and serves only ``bd symbol``.
-The derivation levels of a norm are sampled from a's own coefficients, level
-j weighting label n by n^j; delta(a) is never built.  Each label set is
-sampled once for all its levels: the levels j >= 1 carry no label 0, so they
-share one sampling without it, as the blocks the other labels allow, and
-without label 0 level 0 joins them.  Every block's norm is the square root of
-the largest eigenvalue of its Gram matrix, from LAPACK's eigvalsh
-(_top_singular), at some grid points only, with the maximum over all of them.
+The derivation levels of a norm are read from a's own coefficients, level j
+weighting label n by n^j; delta(a) is never built.  Each label set is read
+once for all its levels: the levels j >= 1 carry no label 0, so they share one
+reading without it, and without label 0 level 0 joins them.  A sampled block's
+norm is the square root of the largest eigenvalue of its Gram matrix, from
+LAPACK's eigvalsh (_top_singular), at some grid points only, with the maximum
+over all of them.
 
-With one label n the 1 x 1 blocks have modulus |n^j f_n(i)| at every point, so
-z = 1 does; operator_norm samples no level of a one-term element U^n M_f at
-all, as |delta^j(a)| is exactly |n|^j sup |f|.  With two labels each
-block is, up to diagonal unitaries, one weighted s-cycle whose singular values
-depend on z only through one cycle phase psi_c, and peak where cos psi_c does
-(Wielandt's rho(A) <= rho(|A|), and the Floquet theory of periodic Jacobi
-matrices; see _phase_points): two points per block and level, in one eigvalsh
-call.  With three or more, every 8th point and the best one's neighbours are
-decomposed, and the rest where a Schur-complement Cholesky certificate cannot
-prove them lower (see _seeded_tops).
+A reading with at most one label n is not sampled: its levels are
+n^j U^n M_{f_n}, of norm exactly |n|^j sup |f_n| (0 without a label), which
+covers diagonal and one-term elements and the levels j >= 1 of one with labels
+{0, n}.  With two labels each block is, up to diagonal unitaries, one weighted
+s-cycle whose singular values depend on z only through one cycle phase psi_c,
+and peak where cos psi_c does (Wielandt's rho(A) <= rho(|A|), and the Floquet
+theory of periodic Jacobi matrices; see _phase_points): two points per block
+and level, in one eigvalsh call.  With three or more, every 8th point and the
+best one's neighbours are decomposed, and the rest where a Schur-complement
+Cholesky certificate cannot prove them lower (see _seeded_tops).
 
 Norm values obtained from circle sampling are estimates bracketed by an exact
-window, into which they are clamped; only the diagonal case is exact.
+window, into which they are clamped; only the diagonal case is reported exact.
 Internally the estimates are carried as exact rationals so the two assembly
 rules for higher norms (binomial sum versus the recursion
 |a|_{M+1} = |a|_M + |delta(a)|_M) agree bit for bit.
@@ -294,14 +294,6 @@ def _check_samples(levels: int, points: int, l: int):
                          f"{l} x {l} symbol exceeds {_MAX_SAMPLES} entries")
 
 
-def _effective_grid(a: BDElement, m: int, grid: int) -> int:
-    """eff = max(grid, 2 * max power + 1), the grid of a's norm levels 0..m,
-    once _check_samples allows them."""
-    eff = max(grid, 2 * _max_power(a) + 1)
-    _check_samples(m + 1, eff, a.period)
-    return eff
-
-
 def _numpy():
     """numpy, imported on first use so that the exact paths never load it.
 
@@ -359,10 +351,10 @@ def _symbol_blocks(a: BDElement, grid: int, first: int, values: dict, points):
     (matrices, s, s) stacks of whole groups of g, each step at most half of
     _BLOCK_BYTES, so that the caller's Gram matrices fit in the other half,
     and in one reused buffer: each stack must be used before the next step.
-    `values` are a's values from _complex_values.  _base_norms passes one
-    point per block for a sampling with one label, those of _phase_points for
-    one with two and those of _seeded_tops for more; spectrum_sample and
-    _grid_top (verify) pass the whole grid.
+    `values` are a's values from _complex_values.  _base_norms passes the
+    points of _phase_points for a sampling with two labels and those of
+    _seeded_tops for more; spectrum_sample and _grid_top (verify) pass the
+    whole grid.
     """
     np = _numpy()
     l = a.period
@@ -552,55 +544,59 @@ def _seeded_tops(a: BDElement, grid: int, first: int, levels: int, values: dict)
 def _base_norms(a: BDElement, m: int, grid: int, values: dict | None = None) -> list:
     """(value as Fraction, kind, effective grid) of |delta^j(a)| for j = 0..m.
 
-    A diagonal element short-circuits to the exact sup of |f_0| at j = 0, and
-    the vanishing delta^j(a) with j >= 1 to an exact 0.  Otherwise level j is
-    the largest top singular value (see _top_singular) of the symbol's blocks
-    over eff = max(grid, 2 * max power + 1) circle points.  Level j weights a's
-    own sampled coefficients by n^j, so the levels that share a label set
-    share one sampling: with label 0, level 0 is one and the levels j >= 1,
-    split into the blocks the other labels allow, another.  Both share
-    `values`, a's values from _complex_values.  One label is read at k = 0,
-    two at the points of _phase_points, and three or more at those of
-    _seeded_tops, each with the maximum over the whole grid (see the module);
-    _symbol_blocks builds only the blocks at those points.
+    Level j weights a's own coefficients by n^j, so the levels that share a
+    label set share one reading: with label 0, level 0 is one and the levels
+    j >= 1, which drop it, another.  Both share `values`, a's values from
+    _complex_values.  A reading with at most one label n is exact, as its
+    levels are n^j U^n M_{f_n}: |n|^j sup |f_n|, or 0 with no label, and
+    numpy is not loaded for it.  One with two labels is sampled at the points
+    of _phase_points and one with three or more at those of _seeded_tops,
+    each the largest top singular value (see _top_singular) of the symbol's
+    blocks over eff = max(grid, 2 * max power + 1) circle points, with the
+    maximum over the whole grid (see the module); _symbol_blocks builds only
+    the blocks at those points.  kind is "exact" and eff 0 when every label is
+    0; otherwise kind is "grid-estimate", once _check_samples allows the
+    sampling.
     """
     if values is None:
         values = _complex_values(a)
     if all(n == 0 for n in a.coeffs):
-        top = Fraction(max(map(abs, values[0]))) if a.coeffs else Fraction(0)
-        return [(top, "exact", 0)] + [(Fraction(0), "exact", 0)] * m
-    np = _numpy()
-    eff = _effective_grid(a, m, grid)
-    top = np.zeros(m + 1)
+        kind, eff = "exact", 0
+    else:
+        kind, eff = "grid-estimate", max(grid, 2 * _max_power(a) + 1)
+        _check_samples(m + 1, eff, a.period)
+    top = []
     for first, levels in [(0, 1), (1, m + 1)] if m and 0 in a.coeffs else [(0, m + 1)]:
         labels = sorted(n for n in a.coeffs if n or not first)
-        if len(labels) == 1:
-            points = np.zeros((levels - first, a.period), dtype=np.int64)
+        if len(labels) <= 1:  # |n|^j sup |f_n|; j = 0 or no label (0) takes no product
+            sup = Fraction(max(map(abs, values[labels[0]]))) if labels else Fraction(0)
+            top += [abs(labels[0]) ** j * sup if j and labels else sup
+                    for j in range(first, levels)]
         elif len(labels) == 2:
             points = _phase_points(a.period, labels, values, range(first, levels), eff)
+            top += map(Fraction, _point_tops(a, eff, first, values, points).max(axis=1).tolist())
         else:
-            top[first:levels] = _seeded_tops(a, eff, first, levels, values)
-            continue
-        top[first:levels] = _point_tops(a, eff, first, values, points).max(axis=1)
-    return [(Fraction(t), "grid-estimate", eff) for t in top.tolist()]
+            top += map(Fraction, _seeded_tops(a, eff, first, levels, values).tolist())
+    return [(t, kind, eff) for t in top]
 
 
 def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
                   method: str = "binomial") -> NormReport:
     """Estimate the M-norm built from the label derivation.
 
-    The base norms |delta^j(a)|, j = 0..m, are sampled straight from a's
+    The base norms |delta^j(a)|, j = 0..m, are read straight from a's
     coefficients, each label set once for all its levels (see _base_norms).
-    One- and two-label samplings are decomposed where their blocks peak; one
-    with three or more labels at every 8th grid point, around the best one,
-    and where a Schur-complement Cholesky certificate cannot prove the rest
+    A level with at most one label is the exact |n|^j sup |f_n|, so every
+    level of a diagonal element (kind "exact", grid 0) and of a one-term
+    element U^n M_f, n != 0, is exact; the latter keeps kind "grid-estimate"
+    and grid eff, and its window is the one point (1 + |n|)^m sup |f|.
+    Two-label samplings are decomposed where their blocks peak; one with
+    three or more labels at every 8th grid point, around the best one, and
+    where a Schur-complement Cholesky certificate cannot prove the rest
     lower.  The value is still the maximum over all eff grid points (bit for
     bit with three or more labels, as each block is sampled alone), so kind,
-    grid and window keep their meaning.  A one-term element U^n M_f, n != 0,
-    is not sampled: its base norms are the exact |n|^j sup |f|, and its window
-    is the one point (1 + |n|)^m sup |f| (kind "grid-estimate", grid eff, as
-    when it was sampled).  a's values are converted to complex numbers once,
-    window too.
+    grid and window keep their meaning.  a's values are converted to complex
+    numbers once, for the base norms and the window.
     method="binomial" assembles sum_j C(m, j) |delta^j(a)| directly;
     method="recursive" uses |a|_{M+1} = |a|_M + |delta(a)|_M.  Both run on the
     same exact base-norm values, so they agree bit for bit, also after the
@@ -618,15 +614,7 @@ def operator_norm(a: BDElement, m: int = 0, grid: int = 256,
     if method not in ("binomial", "recursive"):
         raise ValueError(f"unknown method {method!r}")
     values = _complex_values(a)
-    if len(a.coeffs) == 1 and 0 not in a.coeffs:
-        # U^n M_f: |delta^j(a)| = |n|^j sup |f| exactly, so nothing is sampled
-        (n, z), = values.items()
-        eff = _effective_grid(a, m, grid)
-        top = Fraction(max(map(abs, z)))
-        parts = [(abs(n) ** j * top, "grid-estimate", eff) for j in range(m + 1)]
-    else:
-        parts = _base_norms(a, m, grid, values)
-    return _assemble_norm(parts, method, values)
+    return _assemble_norm(_base_norms(a, m, grid, values), method, values)
 
 
 def _assemble_norm(parts: list, method: str, values: dict) -> NormReport:

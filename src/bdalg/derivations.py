@@ -148,6 +148,8 @@ def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocCon
     """
     if n == 0:
         raise ValueError("covariant index must be nonzero")
+    if _int(l, "period") < 1:
+        raise ValueError("period must be positive")
     if (n * k) % l == 0:
         raise ValueError("character fixes q(n): pick one with chi(q(n)) != 1")
     S = delta_of_chi.S
@@ -217,8 +219,8 @@ def nonsmooth_commutator(S: SupernaturalNumber, chain_depth: int, n_terms: int,
         raise ValueError(f"{l} does not divide {S}")
     if not 0 <= k < l:
         raise ValueError(f"character index {k} out of range [0, {l})")
-    if n_terms > chain_depth:
-        raise ValueError("truncation exceeds the chain depth")
+    if not 0 <= n_terms <= chain_depth:
+        raise ValueError(f"truncation {n_terms} out of range [0, {chain_depth}]")
     chain = S.divisor_chain(chain_depth)
     exponents = [1] + chain[:n_terms]
     terms = {}

@@ -168,7 +168,7 @@ class PhiFn(_Frozen):
         l'/l - 1 - floor(j/l) times (def), or j + 1 times unless j = l' - 1 (lin).
         """
         top_level = self.chain.top
-        if lp < 1 or top_level % lp != 0 or lp % l != 0:
+        if l < 1 or lp < 1 or top_level % lp != 0 or lp % l != 0:
             raise ValueError(f"need l | l' | top, got l={l}, l'={lp}, top={top_level}")
         if mode == "def":
             return sum(t * (lp // l - 1 - k % lp // l) for k, t in enumerate(self.top))

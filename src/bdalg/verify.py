@@ -168,10 +168,10 @@ def _grid_top(a: BDElement, grid: int, j: int, values: dict) -> float:
 
 def _off_the_grid_maximum(a: BDElement, parts: list, values: dict) -> list:
     """The levels j of parts, a's base norms, whose value is not the maximum
-    over every grid point: within 1e-13 for a level sampled with one or two
-    labels, which _base_norms reads at one point per block or at the points
-    its cycle phases select, and exactly for one with three or more, which it
-    decomposes at its seed points and where its certificate fails."""
+    over every grid point: within 1e-13 for a level with one or two labels,
+    which _base_norms reads exactly as |n|^j sup |f_n| or samples at the
+    points its cycle phases select, and exactly for one with three or more,
+    which it decomposes at its seed points and where its certificate fails."""
     off = []
     for j, (value, kind, eff) in enumerate(parts):
         if kind == "grid-estimate":

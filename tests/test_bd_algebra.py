@@ -405,9 +405,9 @@ def test_one_label_corpus_covers_the_cases():
 
 @pytest.mark.parametrize("grid", [16, 17, 256, 1000])
 def test_one_label_levels_reach_the_full_grid_maximum(grid):
-    # a one-label level is read at k = 0 only, its 1 x 1 blocks having one
-    # modulus at every grid point; without label 0 that sampling holds level
-    # 0 too, and with it level 0 is a two-label sampling of its own
+    # a one-label level is not sampled: it is the exact |n|^j sup |f_n|, the
+    # modulus its 1 x 1 blocks have at every grid point; without label 0 that
+    # reading holds level 0 too, and with it level 0 is a two-label sampling
     one, off_one = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, (1,))
     two, off_two = _levels_off_the_full_grid(ONE_LABEL_CORPUS, grid, (2,))
     assert one > 300 and two > 10 and off_one == off_two == 0
@@ -484,7 +484,7 @@ def test_one_term_norms_are_their_window(monkeypatch):
     # U^n M_f has the base norms |n|^j sup |f| and the norm (1 + |n|)^m sup |f|,
     # the one point of its window: nothing is sampled, the bases are exact
     # before any clamp, and kind, grid and value are those of the sampling
-    monkeypatch.setattr(bd_algebra, "_base_norms", None)
+    monkeypatch.setattr(bd_algebra, "_symbol_blocks", None)
     assembled = []
     assemble = bd_algebra._assemble_norm
     monkeypatch.setattr(bd_algebra, "_assemble_norm",
@@ -500,6 +500,26 @@ def test_one_term_norms_are_their_window(monkeypatch):
         assert rep.grid == max(16, 2 * bd_algebra._max_power(a) + 1)
     with pytest.raises(ValueError, match="exceeds"):  # the sampling limit still holds
         operator_norm(BDElement(S, {1: _big(48, 1)}), m=64, grid=10 ** 6)
+
+
+def test_label_zero_and_one_more_sample_level_zero_only(monkeypatch):
+    # with labels {0, n} the levels j >= 1 are n^j U^n M_{f_n}: they are not
+    # sampled, and are |n|^j sup |f_n| exactly; only level 0 is
+    corpus = [a for a in ONE_LABEL_CORPUS if 0 in a.coeffs]
+    calls = []
+    blocks = bd_algebra._symbol_blocks
+    monkeypatch.setattr(bd_algebra, "_symbol_blocks", lambda a, grid, first, *rest:
+                        calls.append((first, len(rest[1]))) or blocks(a, grid, first, *rest))
+    for a in corpus:
+        (n,) = (n for n in a.coeffs if n)
+        sup = Fraction(max(abs(v) for v in bd_algebra._complex_values(a)[n]))
+        parts = bd_algebra._base_norms(a, 3, 256)
+        assert [p[0] for p in parts[1:]] == [abs(n) ** j * sup for j in (1, 2, 3)]
+        eff = max(256, 2 * bd_algebra._max_power(a) + 1)
+        assert {p[1:] for p in parts} == {("grid-estimate", eff)}
+        assert calls and all(call == (0, 1) for call in calls)  # level 0, one row of points
+        calls.clear()
+    assert len(corpus) > 5
 
 
 def test_three_by_three_levels_reach_eigvalsh_at_two_points_per_block(monkeypatch):

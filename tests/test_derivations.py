@@ -211,6 +211,9 @@ def test_recover_covariant_zero_and_error():
     assert recover_covariant(2, 4, 1, BDElement.zero(S)).is_zero()
     with pytest.raises(ValueError):
         recover_covariant(4, 4, 1, BDElement.zero(S))  # chi_4(q(4)) = 1
+    for l in (0, -4):  # refused before (n * k) % l
+        with pytest.raises(ValueError, match="period must be positive"):
+            recover_covariant(1, l, 1, BDElement.zero(S))
 
 
 def test_recover_covariant_matches_inverse_route():
@@ -306,6 +309,8 @@ def test_nonsmooth_validation():
     S2 = SupernaturalNumber.of({2: INF})
     with pytest.raises(ValueError):
         nonsmooth_commutator(S2, 3, 5, 4, 1)  # truncation beyond chain depth
+    with pytest.raises(ValueError, match="truncation"):
+        nonsmooth_commutator(S2, 5, -1, 8, 1)  # chain[:-1] would drop a level
     with pytest.raises(ValueError):
         nonsmooth_commutator(S2, 5, 3, 4, 4)  # residue out of range
     with pytest.raises(ValueError):

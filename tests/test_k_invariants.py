@@ -143,6 +143,9 @@ def test_r_sum_errors():
         PHI.r_sum(3, 4)
     with pytest.raises(ValueError):
         PHI.r_sum(1, 4, "quadratic")
+    for l in (0, -2):  # refused before any modulo by l
+        with pytest.raises(ValueError, match="need l"):
+            PHI.r_sum(l, 4)
 
 
 def test_tau_rho():
