@@ -146,7 +146,7 @@ def recover_covariant(n: int, l: int, k: int, delta_of_chi: BDElement) -> LocCon
     and 1/(1 - zeta) = -(1/l) * sum_{j<l} j * zeta^j for every zeta != 1 with
     zeta^l = 1 (sum_{j<l} j*x^j = x(1 - l*x^(l-1) + (l-1)*x^l)/(1 - x)^2).
     """
-    if n == 0:
+    if _int(n, "covariant index") == 0:
         raise ValueError("covariant index must be nonzero")
     if _int(l, "period") < 1:
         raise ValueError("period must be positive")
@@ -215,11 +215,11 @@ def nonsmooth_commutator(S: SupernaturalNumber, chain_depth: int, n_terms: int,
     vanish, so the result is a polynomial no matter how far the truncation runs.
     It is returned as {power of z: Cyclo}, holding only the nonzero terms.
     """
-    if not S.divisible_by(l):
+    if not S.divisible_by(_int(l, "period")):
         raise ValueError(f"{l} does not divide {S}")
-    if not 0 <= k < l:
+    if not 0 <= _int(k, "character index") < l:
         raise ValueError(f"character index {k} out of range [0, {l})")
-    if not 0 <= n_terms <= chain_depth:
+    if not 0 <= _int(n_terms, "truncation") <= _int(chain_depth, "chain depth"):
         raise ValueError(f"truncation {n_terms} out of range [0, {chain_depth}]")
     chain = S.divisor_chain(chain_depth)
     exponents = [1] + chain[:n_terms]

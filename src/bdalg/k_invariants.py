@@ -10,6 +10,11 @@ running sums R, the invariants tau and rho, the coboundary of the dual shift
 and its explicit preimage on the tau-kernel live here, together with the digit
 construction certifying that rho hits every truncated odometer element.
 
+The readings are closed forms over the exclusive prefix sums P[x] = sum_{k<x}
+top[k], x < l_N, streamed and never stored: phi(l, k) = sum top[k mod l :: l],
+R(l, l') = sum_{l|x} P[x] - (l'/l) sum_{l'|x} P[x], rho reads R(1, l_N) = sum P,
+and the coboundary preimage has top -P; no Python-level loop runs over the top.
+
 Recorded, not computed: on the odd K-group the inclusion of one finite-period
 subalgebra into the next sends the winding unitary to the winding unitary, so
 it induces the identity map and the group of the limit algebra is the
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import add, neg, sub
 from typing import TYPE_CHECKING
 
 from .profinite import DivisorChain, ProfiniteInt
@@ -71,13 +78,14 @@ def residue_projection(l: int, j: int, S: SupernaturalNumber) -> BDElement:
     Exactly idempotent and self-adjoint; the projections for distinct residues
     at the same level are mutually orthogonal and sum to the identity.
     """
-    if l < 1:
+    if _int(l, "level") < 1:
         raise ValueError("level must be positive")
     if not S.divisible_by(l):
         raise ValueError(f"{l} does not divide {S}")
     from . import bd_algebra, odometer_fn  # here: no other function builds an element
 
-    values = [1 if r == j % l else 0 for r in range(l)]
+    values = [0] * l
+    values[_int(j, "residue") % l] = 1
     return bd_algebra.BDElement.mult_op(S, odometer_fn.LocConstFn(values))
 
 
@@ -108,9 +116,9 @@ def hom_obstruction(l: int, a: int, chain: DivisorChain) -> int:
     (l'/l) * a_{l'} = a_l forces every ratio to divide a.  A witness exists
     once l_i / l exceeds |a|.
     """
-    if a == 0:
+    if _int(a, "a") == 0:
         raise ValueError("a must be nonzero")
-    if l < 1:
+    if _int(l, "level") < 1:
         raise ValueError("level must be positive")
     seen_divisible = False
     for level in chain.levels:
@@ -123,6 +131,12 @@ def hom_obstruction(l: int, a: int, chain: DivisorChain) -> int:
         raise ValueError(f"{l} divides no level of the chain")
     raise ValueError(
         f"chain too shallow: every ratio up to {chain.top}//{l} divides {a}")
+
+
+def _prefix_sums(top: tuple, start: int, step: int) -> int:
+    """sum of P[x] = sum_{k<x} top[k] over x < len(top), x = start (mod step), step | len(top)."""
+    stop = len(top) - step + start + 1  # one past the last term: no stream tail
+    return sum(islice(accumulate(top, initial=0), start, stop, step))
 
 
 class PhiFn(_Frozen):
@@ -142,17 +156,15 @@ class PhiFn(_Frozen):
 
     @classmethod
     def zero(cls, chain: DivisorChain) -> "PhiFn":
-        return cls(chain, (0,) * chain.top)
+        return cls._raw(chain, (0,) * chain.top)
 
     # -- values and running sums -------------------------------------------------
 
     def value(self, l: int, k: int) -> int:
-        """phi(l, k) = sum of the top values over the class k mod l."""
-        top_level = self.chain.top
-        if l < 1 or top_level % l != 0:
-            raise ValueError(f"{l} does not divide the top level {top_level}")
-        return sum(self.top[(k + j * l) % top_level]
-                   for j in range(top_level // l))
+        """phi(l, k) = sum of the top values over the class k mod l: sum top[k mod l :: l]."""
+        if _int(l, "level") < 1 or len(self.top) % l:
+            raise ValueError(f"{l} does not divide the top level {len(self.top)}")
+        return sum(self.top[_int(k, "residue") % l::l])
 
     def r_sum(self, l: int, lp: int, mode: str = "def") -> int:
         """The running double sum R(l, l').
@@ -163,19 +175,19 @@ class PhiFn(_Frozen):
         for l = 1 only.  The two disagree by a sign mod l':
         R(1,l',lin) = -R(1,l',def) (mod l').
 
-        Both are read off the top vector in closed form: top[k] lies in the
-        class j = k mod l' and is counted once for each a with al > j, that is
-        l'/l - 1 - floor(j/l) times (def), or j + 1 times unless j = l' - 1 (lin).
+        Both are read off the exclusive prefix sums P[x] = sum_{k<x} top[k],
+        x < l_N: R(l, l') = sum_{l | x} P[x] - (l'/l) sum_{l' | x} P[x] (def),
+        and R(1, l', lin) = l' sum_{x = -1 mod l'} P[x] - sum_x P[x].
         """
-        top_level = self.chain.top
-        if l < 1 or lp < 1 or top_level % lp != 0 or lp % l != 0:
-            raise ValueError(f"need l | l' | top, got l={l}, l'={lp}, top={top_level}")
-        if mode == "def":
-            return sum(t * (lp // l - 1 - k % lp // l) for k, t in enumerate(self.top))
+        top = self.top
+        if _int(l, "level") < 1 or _int(lp, "level") < 1 or len(top) % lp or lp % l:
+            raise ValueError(f"need l | l' | top, got l={l}, l'={lp}, top={len(top)}")
+        if mode == "def":  # R(l, l) = 0 without a pass
+            return _prefix_sums(top, 0, l) - lp // l * _prefix_sums(top, 0, lp) if l < lp else 0
         if mode == "lin":
             if l != 1:
                 raise ValueError("mode 'lin' is defined for l = 1 only")
-            return sum(t * (k % lp + 1) for k, t in enumerate(self.top) if k % lp != lp - 1)
+            return lp * _prefix_sums(top, lp - 1, lp) - _prefix_sums(top, 0, 1)
         raise ValueError(f"unknown mode {mode!r}")
 
     def tau(self) -> int:
@@ -184,41 +196,28 @@ class PhiFn(_Frozen):
 
     def rho(self) -> ProfiniteInt:
         """The truncated odometer element with residue R(1, l_i) mod l_i at
-        every level; well defined because the R values are congruent along the
-        chain."""
-        r = self.r_sum(1, self.chain.top, "def")
-        return self.chain.from_residue(r % self.chain.top)
+        every level, R(1, l_N) = sum_x P[x]; well defined because the R values
+        are congruent along the chain."""
+        return self.chain.from_residue(_prefix_sums(self.top, 0, 1) % self.chain.top)
 
     # -- dual shift ----------------------------------------------------------------
 
     def coboundary(self) -> "PhiFn":
         """(1 - shift*)(self): top'[k] = top[k] - top[k+1 mod l_N]; kills tau."""
-        n = self.chain.top
-        return PhiFn(self.chain,
-                     [self.top[k] - self.top[(k + 1) % n] for k in range(n)])
+        return PhiFn._raw(self.chain, tuple(map(sub, self.top, self.top[1:] + self.top[:1])))
 
     def coboundary_preimage(self) -> "PhiFn":
         """Solve (1 - shift*) psi = self on the tau-kernel.
 
-        Requires tau = 0.  The top vector of psi is the negated prefix sum, and
-        psi(l, 0) = (R(1, l) + psi(1, 0)) / l holds at every level with
-        psi(1, 0) = -R(1, l_N); the divisibility is guaranteed by the congruence
-        of R along the chain and asserted here.
+        Requires tau = 0.  The top vector of psi is -P = (-P[0], ..., -P[l_N - 1]),
+        so psi(1, 0) = -R(1, l_N), and psi(l, 0) = (R(1, l) + psi(1, 0)) / l at
+        every level is an identity of the prefix-sum forms, exact because R is
+        congruent along the chain.
         """
         if self.tau() != 0:
             raise ValueError("nonzero tau: the coboundary equation has no solution")
-        n = self.chain.top
-        psi_top = [0] * n
-        for k in range(1, n):
-            psi_top[k] = psi_top[k - 1] - self.top[k - 1]
-        psi = PhiFn(self.chain, psi_top)
-        psi_10 = -self.r_sum(1, n, "def")
-        assert psi.tau() == psi_10
-        for l in self.chain.levels:
-            num = self.r_sum(1, l, "def") + psi_10
-            assert num % l == 0, "R values must be congruent along the chain"
-            assert psi.value(l, 0) == num // l
-        return psi
+        return PhiFn._raw(self.chain, tuple(
+            islice(accumulate(map(neg, self.top), initial=0), self.chain.top)))
 
     @classmethod
     def from_profinite(cls, x: ProfiniteInt) -> "PhiFn":
@@ -228,27 +227,23 @@ class PhiFn(_Frozen):
         Its linear R-form reproduces the residues of x at every level, which is
         the desk-scale certificate that rho is onto.
         """
-        chain = x.chain
-        n = chain.depth
-        top = [0] * chain.top
-        digits = x.digits
-        top[0] = digits[0] - sum(digits[1:])
-        for k in range(1, n):
-            top[chain.levels[k - 1] % chain.top] += digits[k]
-        return cls(chain, top)
+        top = [x.digits[0] - sum(x.digits[1:])] + [0] * (x.chain.top - 1)
+        for level, a in zip(x.chain.levels, x.digits[1:]):
+            top[level] += a
+        return cls._raw(x.chain, tuple(top))
 
     # -- group structure -------------------------------------------------------------
 
     def __add__(self, other: "PhiFn") -> "PhiFn":
         if self.chain.levels != other.chain.levels:
             raise ValueError("operands live on different chains")
-        return PhiFn(self.chain, [a + b for a, b in zip(self.top, other.top)])
+        return PhiFn._raw(self.chain, tuple(map(add, self.top, other.top)))
 
     def __sub__(self, other: "PhiFn") -> "PhiFn":
         return self + (-other)
 
     def __neg__(self) -> "PhiFn":
-        return PhiFn(self.chain, [-a for a in self.top])
+        return PhiFn._raw(self.chain, tuple(map(neg, self.top)))
 
     def __eq__(self, other):
         if not isinstance(other, PhiFn):

@@ -65,16 +65,16 @@ class DivisorChain(_Frozen):
 
     def from_residue(self, r: int, l: int = None) -> "ProfiniteInt":
         """The unique element with the given top-level residue."""
-        if l is not None and l != self.top:
+        if l is not None and _int(l, "residue level") != self.top:
             raise ValueError(f"residue level {l} does not match chain top {self.top}")
-        if not 0 <= r < self.top:
+        if not 0 <= _int(r, "residue") < self.top:
             raise ValueError(f"residue {r} out of range [0, {self.top})")
         digits = []
         prev = 1
         for l_n, base in zip(self.levels, self.bases):
             digits.append((r // prev) % base)
             prev = l_n
-        return ProfiniteInt(self, tuple(digits))
+        return ProfiniteInt._raw(self, tuple(digits))
 
     def zero(self) -> "ProfiniteInt":
         return self.from_residue(0)

@@ -59,6 +59,11 @@ class _Frozen:
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _raw(cls, *values):  # trusted: the fields as the library's operations build them
+        return cls.__new__(cls)._init(*values)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} values are immutable")

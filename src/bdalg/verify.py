@@ -262,7 +262,7 @@ def _level_pairs(chain: DivisorChain):
 
 
 @_suite("consistency",
-        "R(1,l') - R(1,l) = l R(l,l'); R congruent along the chain; R_lin = -R_def (mod l)")
+        "R(1,l')-R(1,l) = l R(l,l'); R congruent on the chain; R_lin + R_def = l(tau - phi(l,-1))")
 def _consistency(rng, scale):
     for i in range(_scaled(1000, scale)):
         chain = _R_CHAINS[i % len(_R_CHAINS)]
@@ -274,7 +274,7 @@ def _consistency(rng, scale):
             if (phi.r_sum(1, l) - phi.r_sum(1, lp)) % l != 0:
                 ok = False
         yield ok, lambda: {"phi": phi.to_json()}
-    # sign bridge, exhaustive over small tops
+    # sign bridge, exactly, exhaustive over small tops
     for levels in ((2, 4), (2, 6), (3, 6)):
         chain = DivisorChain.of(levels)
         for combo in range(5 ** chain.top):
@@ -283,8 +283,8 @@ def _consistency(rng, scale):
                 top.append(c % 5 - 2)
                 c //= 5
             phi = PhiFn(chain, top)
-            ok = all((phi.r_sum(1, l, "lin") + phi.r_sum(1, l, "def")) % l == 0
-                     for l in (1,) + chain.levels)
+            ok = all(phi.r_sum(1, l, "lin") + phi.r_sum(1, l, "def")
+                     == l * (phi.tau() - phi.value(l, -1)) for l in (1,) + chain.levels)
             yield ok, lambda: {"phi": phi.to_json()}
 
 

@@ -18,8 +18,11 @@ canonical form that Cyclo itself uses.
 The Smith form's diagonal is pinned by the determinantal divisors: d_k is
 Delta_k / Delta_{k-1}, where Delta_k is the gcd of all k x k minors.
 
-The running sums R(l, l') of a phi function are pinned by their defining
-double sums over the values phi(l', j).
+The values phi(l, j) of a phi function are read from its top vector by their
+definition, sum_i top[(j + i l) mod l_N], never through PhiFn.value; the
+running sums R(l, l') are pinned by their defining double sums over those
+values, the coboundary preimage by the running negated sum it replaced, and the
+digit construction by the loop that places each digit.
 
 The cocycle solver is pinned by the chain of Cyclo sums it replaced: G(0) and
 each step G(j+1) = G(j) + f(j) - c as one _sum of Fraction coefficients.
@@ -144,12 +147,39 @@ def determinantal_divisors(rows: list) -> list:
     return out
 
 
+def phi_value(phi, l: int, j: int) -> int:
+    """phi(l, j) from its definition: sum_i top[(j + i l) mod l_N], i < l_N / l."""
+    n = len(phi.top)
+    return sum(phi.top[(j + i * l) % n] for i in range(n // l))
+
+
 def r_sum(phi, l: int, lp: int, mode: str = "def") -> int:
     """R(l, l') from its definition: sum_{a=1}^{l'/l-1} sum_{j<al} phi(l', j)
     for mode "def", sum_{j<l'-1} (j+1) phi(l', j) for mode "lin" (l = 1)."""
+    vals = [phi_value(phi, lp, j) for j in range(lp)]
     if mode == "def":
-        return sum(phi.value(lp, j) for a in range(1, lp // l) for j in range(a * l))
-    return sum((j + 1) * phi.value(lp, j) for j in range(lp - 1))
+        return sum(sum(vals[:a * l]) for a in range(1, lp // l))
+    return sum((j + 1) * vals[j] for j in range(lp - 1))
+
+
+def coboundary_preimage(phi) -> list:
+    """The top of psi with (1 - shift*) psi = phi and psi top[0] = 0, for
+    tau(phi) = 0: psi[k] = psi[k-1] - phi[k-1]."""
+    psi = [0] * len(phi.top)
+    for k in range(1, len(psi)):
+        psi[k] = psi[k - 1] - phi.top[k - 1]
+    return psi
+
+
+def digit_phi(x) -> list:
+    """The top of the digit construction of x: a_1 - ... - a_n at 0 and
+    a_{k+1} added at l_k for k < n."""
+    levels, digits = x.chain.levels, x.digits
+    top = [0] * levels[-1]
+    top[0] = digits[0] - sum(digits[1:])
+    for k in range(1, len(levels)):
+        top[levels[k - 1]] += digits[k]
+    return top
 
 
 def cocycle_reference(f: LocConstFn, c: Cyclo) -> LocConstFn:

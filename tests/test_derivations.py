@@ -214,6 +214,9 @@ def test_recover_covariant_zero_and_error():
     for l in (0, -4):  # refused before (n * k) % l
         with pytest.raises(ValueError, match="period must be positive"):
             recover_covariant(1, l, 1, BDElement.zero(S))
+    for n in (True, 1.0):  # not read as n = 1
+        with pytest.raises(ValueError, match="non-integer covariant index"):
+            recover_covariant(n, 4, 1, BDElement.zero(S))
 
 
 def test_recover_covariant_matches_inverse_route():
@@ -315,6 +318,10 @@ def test_nonsmooth_validation():
         nonsmooth_commutator(S2, 5, 3, 4, 4)  # residue out of range
     with pytest.raises(ValueError):
         nonsmooth_commutator(S2, 5, 3, 3, 1)  # 3 does not divide 2^inf
+    for args in ((5, True, 8, 1), (5, 2.0, 8, 1), (5.0, 2, 8, 1), (True, 1, 8, 1),
+                 (5, 2, 8.0, 1), (5, 2, True, 0), (5, 2, 8, 1.0), (5, 2, 8, True)):
+        with pytest.raises(ValueError, match="non-integer"):  # bool and float refused
+            nonsmooth_commutator(S2, *args)
 
 
 def test_nonsmooth_truncation_stable():

@@ -9,6 +9,7 @@ import pytest
 from bdalg import (BDElement, DivisorChain, GSRational, INF, PhiFn,
                    SupernaturalNumber, hom_obstruction, k0_class,
                    residue_projection)
+import oracles
 from oracles import r_sum as r_sum_oracle
 
 S = SupernaturalNumber.of({2: INF, 3: INF, 5: INF, 7: INF, 11: INF})
@@ -146,6 +147,61 @@ def test_r_sum_errors():
     for l in (0, -2):  # refused before any modulo by l
         with pytest.raises(ValueError, match="need l"):
             PHI.r_sum(l, 4)
+    for l, lp in ((1, 4.0), (True, 4), (2.0, 4), (1, True)):  # bool and float are not levels
+        with pytest.raises(ValueError, match="non-integer level"):
+            PHI.r_sum(l, lp)
+    for l, k in ((True, 1), (2.0, 1), (2, 1.0), (2, False)):
+        with pytest.raises(ValueError, match="non-integer"):
+            PHI.value(l, k)
+
+
+def test_integer_arguments_refuse_bool_and_float():
+    chain = DivisorChain.of([2, 4, 8, 16])
+    for l, a in ((2.0, 3), (True, 3), (2, 3.0), (2, True)):
+        with pytest.raises(ValueError, match="non-integer"):
+            hom_obstruction(l, a, chain)
+    for l, j in ((True, 0), (2.0, 0), (2, 1.0), (2, True)):
+        with pytest.raises(ValueError, match="non-integer"):
+            residue_projection(l, j, S)
+    for r, l in ((True, None), (3.0, None), (3, 16.0), (3, True)):
+        with pytest.raises(ValueError, match="non-integer"):
+            chain.from_residue(r, l)
+    with pytest.raises(ValueError, match="non-integer"):
+        chain.embed(3.0)
+
+
+def _random_chain(rng: random.Random) -> DivisorChain:
+    levels = [rng.randint(2, 5)]
+    for _ in range(rng.randint(1, 5) - 1):
+        levels.append(levels[-1] * rng.randint(2, 5))
+    return DivisorChain.of(levels)
+
+
+def test_prefix_sum_forms_match_the_definitions():
+    # 400 random phi, each with a tau-zero kernel beside it, against the oracle's
+    # defining sums, which read the top vector and never call PhiFn
+    rng = random.Random(27)
+    for _ in range(400):
+        chain = _random_chain(rng)
+        n, levels = chain.top, (1,) + chain.levels
+        phi = PhiFn(chain, [rng.randint(-30, 30) for _ in range(n)])
+        kern = PhiFn(chain, phi.top[:-1] + (phi.top[-1] - phi.tau(),))
+        for f in (phi, kern):
+            for lp in levels:
+                assert f.r_sum(1, lp, "lin") == r_sum_oracle(f, 1, lp, "lin")
+                for l in levels:
+                    if lp % l == 0:
+                        assert f.r_sum(l, lp) == r_sum_oracle(f, l, lp)
+                for k in (rng.randint(-3 * n, -1), rng.randint(0, 3 * n)):
+                    assert f.value(lp, k) == oracles.phi_value(f, lp, k)
+            assert f.rho().value() == r_sum_oracle(f, 1, n) % n
+        psi = kern.coboundary_preimage()
+        assert list(psi.top) == oracles.coboundary_preimage(kern)
+        psi_10 = oracles.phi_value(psi, 1, 0)
+        for l in levels:  # the identity the preimage once asserted level by level
+            assert oracles.phi_value(psi, l, 0) * l == r_sum_oracle(kern, 1, l) + psi_10
+        x = chain.from_residue(rng.randrange(n))
+        assert list(PhiFn.from_profinite(x).top) == oracles.digit_phi(x)
 
 
 def test_tau_rho():

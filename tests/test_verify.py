@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from bdalg import (BDElement, DivisorChain, LocConstFn, PhiFn, VerifyReport, derivations,
-                   homalg, odometer_fn, run_suite, verify)
+                   homalg, k_invariants, odometer_fn, run_suite, verify)
 from bdalg.cli import main
 from bdalg.verify import SUITES, rand_fn, rand_phi
 
@@ -184,3 +184,49 @@ def test_cocycle_suite_catches_a_kernel_that_drops_the_mean_step(monkeypatch, ca
         ft = raw - LocConstFn.constant(raw.haar_integral(), raw.period)
         g = derivations.solve_cocycle(ft)
         assert g.pullback(1) - g == ft and g.haar_integral().is_zero()
+
+
+K_SUITES = ("consistency", "kernel-image", "rho-onto")
+
+
+def _failing_small_k_suites() -> list:
+    return [name for name in K_SUITES if not SUITES[name](1, "small").passed]
+
+
+def test_k_suites_catch_an_inclusive_prefix_in_r_def(monkeypatch):
+    # the mutant reads R(l, l') over P[x + 1] instead of P[x], which is R of the
+    # rotated top: every identity among def-mode sums still holds, and only the
+    # bridge to the linear form and the coboundary identity show it
+    source = textwrap.dedent(inspect.getsource(PhiFn.r_sum))
+    kernel = "_prefix_sums(top, 0, l) - lp // l * _prefix_sums(top, 0, lp)"
+    assert source.count(kernel) == 1
+    scope = dict(vars(k_invariants))
+    exec(source.replace(kernel, kernel.replace(", 0,", ", 1,")), scope)
+    monkeypatch.setattr(PhiFn, "r_sum", scope["r_sum"])
+    assert _failing_small_k_suites() == ["consistency", "kernel-image"]
+
+
+def test_consistency_catches_r_lin_without_its_last_class_term(monkeypatch):
+    # R_lin(1, l') written as (l'-1) sum_{0<x<=N, l'|x} P[x] - sum_x P[x]
+    # + sum_{l'|x} P[x] + tau - l' sum top[l'-1::l'], with the last term dropped:
+    # a multiple of l', so every congruence mod l' still holds, and only the
+    # exact bridge R_lin + R_def = l'(tau - phi(l', -1)) shows it
+    r_sum = PhiFn.r_sum
+
+    def dropped(self, l, lp, mode="def"):
+        out = r_sum(self, l, lp, mode)
+        return out + lp * sum(self.top[lp - 1::lp]) if mode == "lin" else out
+
+    monkeypatch.setattr(PhiFn, "r_sum", dropped)
+    assert _failing_small_k_suites() == ["consistency"]
+
+
+def test_kernel_image_catches_a_preimage_shifted_by_one(monkeypatch):
+    preimage = PhiFn.coboundary_preimage
+
+    def shifted(self):
+        top = preimage(self).top
+        return PhiFn(self.chain, top[1:] + top[:1])
+
+    monkeypatch.setattr(PhiFn, "coboundary_preimage", shifted)
+    assert _failing_small_k_suites() == ["kernel-image"]
