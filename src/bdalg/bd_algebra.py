@@ -10,6 +10,10 @@ norm estimation.  Every element carries one common period l for all its
 coefficients, which is also the size of its matrix symbol.  Elements whose
 coefficients are constants, such as U^n and one(), have period 1 and multiply
 by scaling (LocConstFn.scale): a product with U^n is a relabeling and a pullback.
+The algebra's own results are built by one trusted constructor (_raw), which
+skips the checks their operands passed; outside input (the constructor,
+from_json, mult_op, with_period) keeps every check.  No stored coefficient is
+zero, so equality compares the label sets and then the value tuples.
 
 Norms and spectra are evaluated straight from the coefficients: U^n M_f has
 the symbol entry f(i) z^floor((i+n)/l) at row (i+n) mod l, column i, so the
@@ -52,6 +56,8 @@ from .cyclotomic import Cyclo, _as_cyclo, root_of_unity
 from .odometer_fn import LocConstFn
 from .supernatural import SupernaturalNumber, _Frozen, _int, _rational
 
+_ONE = LocConstFn.constant(1)  # the coefficient of U^n and one(), shared
+
 
 def _label(key: str) -> int:
     """The label a JSON object key names.  Only the form str(n) is read, so that
@@ -75,14 +81,28 @@ class BDElement(_Frozen):
             l = math.lcm(l, f.period)
         if not S.divisible_by(l):
             raise ValueError(f"period {l} does not divide {S}")
-        clean = {}
-        for n, f in coeffs.items():
+        for n in coeffs:
             _int(n, "label")
-            if not f.is_zero():
-                clean[n] = f.with_period(l)
+        self._set(S, l, {n: f.with_period(l) for n, f in coeffs.items() if not f.is_zero()})
+
+    def _set(self, S, l: int, coeffs: dict) -> "BDElement":
         object.__setattr__(self, "S", S)  # not _init: this runs on every operation
         object.__setattr__(self, "period", l)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
+    def _raw(cls, S, coeffs: dict, nonzero: bool = False) -> "BDElement":
+        """Trusted constructor of the algebra's results: labels and periods are not
+        checked.  The period is the lcm of all coefficient periods, zero ones
+        included, as in __init__; zeros are dropped unless nonzero rules them out."""
+        periods = {f.period for f in coeffs.values()}
+        l = math.lcm(*periods)
+        if len(periods) > 1:
+            coeffs = {n: f.with_period(l) for n, f in coeffs.items()}
+        if not nonzero:
+            coeffs = {n: f for n, f in coeffs.items() if not f.is_zero()}
+        return cls.__new__(cls)._set(S, l, coeffs)
 
     # -- constructors -----------------------------------------------------------
 
@@ -92,12 +112,12 @@ class BDElement(_Frozen):
 
     @classmethod
     def one(cls, S: SupernaturalNumber) -> "BDElement":
-        return cls(S, {0: LocConstFn.constant(1)})
+        return cls.shift(S, 0)
 
     @classmethod
     def shift(cls, S: SupernaturalNumber, n: int = 1) -> "BDElement":
         """U^n."""
-        return cls(S, {n: LocConstFn.constant(1)})
+        return cls.__new__(cls)._set(S, 1, {_int(n, "label"): _ONE})
 
     @classmethod
     def mult_op(cls, S: SupernaturalNumber, f: LocConstFn) -> "BDElement":
@@ -117,6 +137,7 @@ class BDElement(_Frozen):
     def fourier_coefficient(self, n: int) -> LocConstFn:
         """The coefficient f_n (the zero function if absent); n = 0 is the
         conditional expectation onto the diagonal."""
+        n = _int(n, "label")
         return self.coeffs[n] if n in self.coeffs else LocConstFn.zero(self.period)
 
     # -- *-algebra operations -----------------------------------------------------
@@ -130,13 +151,13 @@ class BDElement(_Frozen):
         out = dict(self.coeffs)
         for n, g in other.coeffs.items():
             out[n] = out[n] + g if n in out else g
-        return BDElement(self.S, out)
+        return BDElement._raw(self.S, out)
 
     def __sub__(self, other: "BDElement") -> "BDElement":
         return self + (-other)
 
     def __neg__(self) -> "BDElement":
-        return BDElement(self.S, {n: -f for n, f in self.coeffs.items()})
+        return BDElement._raw(self.S, {n: -f for n, f in self.coeffs.items()}, True)
 
     def __mul__(self, other):
         if not isinstance(other, BDElement):
@@ -149,30 +170,34 @@ class BDElement(_Frozen):
                 term = f.pullback(n) * g
                 k = m + n
                 out[k] = out[k] + term if k in out else term
-        return BDElement(self.S, out)
+        # a single-term period-1 factor c U^n (c != 0) only relabels: no zero term
+        return BDElement._raw(self.S, out, len(self.coeffs) == 1 and self.period == 1
+                              or len(other.coeffs) == 1 and other.period == 1)
 
     def scale(self, c) -> "BDElement":
         c = _as_cyclo(c)
-        return BDElement(self.S, {n: f.scale(c) for n, f in self.coeffs.items()})
+        return BDElement._raw(self.S, {n: f.scale(c) for n, f in self.coeffs.items()},
+                              not c.is_zero())
 
     __rmul__ = scale
 
     def adjoint(self) -> "BDElement":
         """(U^n M_f)* = U^(-n) M_{conj(f) o beta^(-n)}."""
-        return BDElement(self.S, {-n: f.conj().pullback(-n)
-                                  for n, f in self.coeffs.items()})
+        return BDElement._raw(self.S, {-n: f.conj().pullback(-n)
+                                       for n, f in self.coeffs.items()}, True)
 
     def delta_label(self) -> "BDElement":
         """The label derivation [L, .]: multiplies the n-th coefficient by n."""
-        return BDElement(self.S, {n: f.scale(n) for n, f in self.coeffs.items()})
+        return BDElement._raw(self.S, {n: f.scale(n) for n, f in self.coeffs.items()},
+                              0 not in self.coeffs)
 
     def circle_action(self, theta) -> "BDElement":
         """The circle automorphism scaling U by exp(2 pi i theta); theta must be
         an exact rational so the phases stay cyclotomic."""
         theta = _rational(theta, "angle")
         p, q = theta.numerator, theta.denominator
-        return BDElement(self.S, {n: f.scale(root_of_unity(n * p, q))
-                                  for n, f in self.coeffs.items()})
+        return BDElement._raw(self.S, {n: f.scale(root_of_unity(n * p, q))
+                                       for n, f in self.coeffs.items()}, True)
 
     def trace(self) -> Cyclo:
         """Haar mean of the diagonal part; tracial and normalized at 1."""
@@ -183,10 +208,8 @@ class BDElement(_Frozen):
             return NotImplemented
         if self.S is not other.S and self.S != other.S:
             return False
-        for n in set(self.coeffs) | set(other.coeffs):
-            if self.fourier_coefficient(n) != other.fourier_coefficient(n):
-                return False
-        return True
+        a, b = self.coeffs, other.coeffs  # no stored coefficient is zero
+        return a.keys() == b.keys() and all(f == b[n] for n, f in a.items())
 
     __hash__ = None
 

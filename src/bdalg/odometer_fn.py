@@ -55,7 +55,7 @@ class LocConstFn(_Frozen):
 
     def at(self, k: int) -> Cyclo:
         """Value at the embedded integer k."""
-        return self.values[k % self.period]
+        return self.values[_int(k, "point") % self.period]
 
     def evaluate(self, x: ProfiniteInt) -> Cyclo:
         """Value at a truncated odometer element; the period must divide its top level."""
@@ -77,7 +77,7 @@ class LocConstFn(_Frozen):
     def pullback(self, m: int) -> "LocConstFn":
         """Composition with the m-th power of the odometer shift: k -> k + m."""
         m = _int(m, "shift") % self.period
-        return LocConstFn._raw(self.values[m:] + self.values[:m])
+        return self if m == 0 else LocConstFn._raw(self.values[m:] + self.values[:m])
 
     # -- integral and transform -------------------------------------------------
 
@@ -142,13 +142,13 @@ class LocConstFn(_Frozen):
         return LocConstFn._raw(tuple(v.conj() for v in self.values))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return all(map(Cyclo.is_zero, self.values))
 
     def __eq__(self, other):
         if not isinstance(other, LocConstFn):
             return NotImplemented
         a, b = self._pair(other)
-        return all(x == y for x, y in zip(a.values, b.values))
+        return a.values == b.values
 
     __hash__ = None
 

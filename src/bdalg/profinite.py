@@ -61,7 +61,7 @@ class DivisorChain(_Frozen):
 
         Negative integers reduce by mathematical mod, landing in [0, top).
         """
-        return self.from_residue(x % self.top)
+        return self.from_residue(_int(x, "argument") % self.top)
 
     def from_residue(self, r: int, l: int = None) -> "ProfiniteInt":
         """The unique element with the given top-level residue."""
@@ -141,7 +141,7 @@ class ProfiniteInt(_Frozen):
 
     def shift(self, m: int = 1) -> "ProfiniteInt":
         """Odometer shift: add the embedded integer m (m = 1 is the odometer map)."""
-        return self.chain.from_residue((self.value() + m) % self.chain.top)
+        return self.chain.from_residue((self.value() + _int(m, "shift")) % self.chain.top)
 
     def to_json(self) -> dict:
         return {"chain": self.chain.to_json(), "digits": list(self.digits)}

@@ -13,7 +13,8 @@ their sum, product and adjoint are computed here over that plain form.
 
 Cyclotomic values are compared by reducing their difference modulo the
 cyclotomic polynomial Phi_N, N the lcm of the orders, independently of the
-canonical form that Cyclo itself uses.
+canonical form that Cyclo itself uses; functions and elements are compared
+through those values at the lcm of their periods, label by label.
 
 The Smith form's diagonal is pinned by the determinantal divisors: d_k is
 Delta_k / Delta_{k-1}, where Delta_k is the gcd of all k x k minors.
@@ -52,6 +53,20 @@ def cyclo_equal(x: Cyclo, y: Cyclo) -> bool:
             for j, m in enumerate(mod):
                 poly[i - deg + j] -= c * m
     return not any(poly)
+
+
+def fn_equal(f: LocConstFn, g: LocConstFn) -> bool:
+    """f == g, decided value by value at the lcm of the periods with cyclo_equal."""
+    l = math.lcm(f.period, g.period)
+    return all(cyclo_equal(f.values[i % f.period], g.values[i % g.period]) for i in range(l))
+
+
+def bd_equal(a: BDElement, b: BDElement) -> bool:
+    """a == b, decided label by label with fn_equal; a missing label reads as the
+    zero function."""
+    zero = LocConstFn.zero()
+    return a.S == b.S and all(fn_equal(a.coeffs.get(n, zero), b.coeffs.get(n, zero))
+                              for n in set(a.coeffs) | set(b.coeffs))
 
 
 def apply_to_basis(a: BDElement, k: int) -> dict:

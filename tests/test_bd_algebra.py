@@ -2,17 +2,19 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdalg import (BDElement, Cyclo, INF, LocConstFn, SupernaturalNumber,
                    character, operator_norm, root_of_unity, spectrum_sample)
 from bdalg import bd_algebra
-from bdalg.verify import _TWO_PEAKS, _grid_top, rand_bd
+from bdalg.verify import _TWO_PEAKS, _grid_top, rand_bd, rand_fn
 
-from oracles import (apply_to_basis, columns_equal, compose_on_basis, entry, sup_norm, symbol,
-                     symbol_product, symbol_star, symbol_sum)
+from oracles import (apply_to_basis, bd_equal, columns_equal, compose_on_basis, entry, fn_equal,
+                     sup_norm, symbol, symbol_product, symbol_star, symbol_sum)
 
 S = SupernaturalNumber.of({2: INF, 3: INF})
 U = BDElement.shift(S)
@@ -177,6 +179,13 @@ def test_fourier_coefficient():
     assert b.fourier_coefficient(1) == F
     assert b.fourier_coefficient(5).is_zero()
     assert b.fourier_coefficient(0) == G
+
+
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_fourier_coefficient_refuses_a_label_that_is_not_an_int(n):
+    # both read label 1's coefficient
+    with pytest.raises(ValueError, match="non-integer label"):
+        BDElement(S, {1: F, 0: G}).fourier_coefficient(n)
 
 
 def test_fourier_reconstruction():
@@ -885,3 +894,99 @@ def test_from_json_checks_containers():
                      ("period", 0)):
         with pytest.raises(ValueError):
             BDElement.from_json(dict(good, **{key: bad}))
+
+
+# -- trusted construction and equality ------------------------------------------
+
+_values = st.one_of(st.just(Cyclo.zero()), st.builds(
+    Cyclo, st.sampled_from((1, 2, 3, 4, 6, 12)),
+    st.dictionaries(st.integers(0, 11), st.integers(-2, 2), max_size=2)))
+_fns = st.lists(_values, min_size=1, max_size=12).map(LocConstFn)  # periods 1-12
+_elements = st.dictionaries(st.integers(-4, 4), _fns, max_size=3).map(
+    lambda coeffs: BDElement(S_PERIODS, coeffs))
+# c U^n with c != 0: a single-term period-1 factor
+_monomials = st.builds(lambda n, c: BDElement(S_PERIODS, {n: LocConstFn.constant(c)}),
+                       st.integers(-5, 5), _values.filter(lambda c: not c.is_zero()))
+
+
+def _trusted_calls(op, keep_zeros: bool = False) -> tuple:
+    """op() and the (S, terms, result) of each BDElement._raw call it made;
+    keep_zeros makes _raw skip its zero filter, as a broken one would."""
+    calls, raw = [], BDElement._raw.__func__
+
+    def spy(cls, S, coeffs, nonzero=False):
+        terms = dict(coeffs)
+        r = raw(cls, S, coeffs, nonzero or keep_zeros)
+        calls.append((S, terms, r))
+        return r
+
+    with mock.patch.object(BDElement, "_raw", classmethod(spy)):
+        return op(), calls
+
+
+def _matches_public(S, terms, r) -> bool:
+    """r is what the public constructor builds from the same terms: the same
+    bytes, every stored coefficient nonzero at r's period, and a period dividing S."""
+    return (json.dumps(r.to_json()) == json.dumps(BDElement(S, terms).to_json())
+            and all(f.period == r.period and not f.is_zero() for f in r.coeffs.values())
+            and S.divisible_by(r.period))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements, _elements, _monomials, _values, st.fractions(-2, 2, max_denominator=6))
+def test_trusted_results_match_the_public_constructor(a, b, m, c, theta):
+    f = a.fourier_coefficient(0) + LocConstFn.constant(1, 4)
+    ops = (lambda: a + b, lambda: a - b, lambda: -a, lambda: a * b, lambda: b * a,
+           lambda: m * a, lambda: a * m, lambda: m * m, lambda: a.scale(c), lambda: 0 * a,
+           a.adjoint, a.delta_label, lambda: a.circle_action(theta),
+           lambda: a + -a, lambda: (a + -a).adjoint(), lambda: m * (a - a),
+           BDElement.mult_op(S_PERIODS, f).delta_label)
+    for op in ops:
+        result, calls = _trusted_calls(op)
+        assert calls and calls[-1][2] is result
+        for call in calls:
+            assert _matches_public(*call)
+    for n in (-3, 0, 1):
+        shift = BDElement.shift(S_PERIODS, n)
+        assert shift.to_json() == BDElement(S_PERIODS, {n: LocConstFn.constant(1)}).to_json()
+    assert BDElement.one(S_PERIODS).to_json() == BDElement(S_PERIODS, {0: LocConstFn.constant(1)}).to_json()
+
+
+def test_a_trusted_constructor_that_keeps_zeros_is_caught():
+    a = BDElement(S, {1: LocConstFn([1, 2, 0, 3]), 0: F})
+    for op in (lambda: a + -a, lambda: 0 * a, BDElement.mult_op(S, F).delta_label):
+        _, calls = _trusted_calls(op, keep_zeros=True)
+        assert not all(_matches_public(*call) for call in calls)
+        _, calls = _trusted_calls(op)
+        assert all(_matches_public(*call) for call in calls)
+    zero = a + -a
+    assert zero.period == 4 and zero.coeffs == {} and zero.adjoint().period == 1
+
+
+def _respelled(v: Cyclo, rng: random.Random) -> Cyclo:
+    """v with other raw terms: at a multiple of its order, or plus 1 + z3 + z3^2 = 0."""
+    k = rng.choice((2, 3))
+    if rng.random() < 0.5:
+        return Cyclo(v.order * k, {e * k: c for e, c in v.terms.items()})
+    return v + Cyclo(3, {0: 1, 1: 1, 2: 1})
+
+
+def test_equality_fast_paths_agree_with_the_oracle():
+    rng = random.Random(28)
+    pairs = []
+    for _ in range(60):
+        a = rand_bd(rng, S, (1, 2, 3, 4, 6), max_n=3)
+        n, f = rng.choice(sorted(a.coeffs.items()))
+        respelled = BDElement(S, {**a.coeffs, n: LocConstFn([_respelled(v, rng) for v in f.values])})
+        b = rand_bd(rng, S, (1, 2, 3), max_n=3)
+        pairs += [(a, a.with_period(2 * a.period)), (a, respelled), (a, a + b - b),
+                  (a + -a, BDElement.zero(S)), (a, a + BDElement.shift(S, 7)),
+                  (a, BDElement(S, {n + 1: f})), (a, a.scale(2)), (a, b)]
+        g = rand_fn(rng, rng.choice((1, 2, 3, 4, 6)))
+        for x, y in ((f, f.with_period(3 * f.period)), (f, (f + g) - g), (f, f.pullback(1)),
+                     (f, respelled.coeffs[n]), (f - f, LocConstFn.zero(5)), (f, g)):
+            assert (x == y) == (y == x) == fn_equal(x, y)
+    for x, y in pairs:
+        assert (x == y) == (y == x) == bd_equal(x, y)
+    results = [x == y for x, y in pairs]
+    assert 0 < sum(results) < len(results)  # both outcomes occur

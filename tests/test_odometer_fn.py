@@ -144,3 +144,12 @@ def test_pullback_refuses_a_shift_that_is_not_an_int(m):
     with pytest.raises(ValueError, match="non-integer shift"):
         character(3, 1).pullback(m)
     assert character(3, 1).pullback(-2) == character(3, 1).pullback(1)
+
+
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_at_refuses_a_point_that_is_not_an_int(k):
+    # at(True) read values[1], and at(1.0) raised TypeError from the index
+    f = LocConstFn([1, 2, 3])
+    with pytest.raises(ValueError, match="non-integer point"):
+        f.at(k)
+    assert f.at(-2) == 2

@@ -123,3 +123,13 @@ def test_serialization_roundtrip():
     assert ProfiniteInt.from_json(obj) == x
     with pytest.raises(ValueError):
         ProfiniteInt.from_json({"chain": [2, 4]})
+
+
+@pytest.mark.parametrize("x", [True, False, 2.0, 1.5])
+def test_embed_and_shift_refuse_arguments_that_are_not_ints(x):
+    # True % top is the int 1, so embed(True) was the element 1 and shift(True) added 1
+    with pytest.raises(ValueError, match="non-integer argument"):
+        CH24.embed(x)
+    with pytest.raises(ValueError, match="non-integer shift"):
+        CH24.embed(1).shift(x)
+    assert CH24.embed(5).shift(-2) == CH24.embed(3)
